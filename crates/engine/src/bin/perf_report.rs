@@ -46,7 +46,11 @@ struct Profile {
     workers: usize,
     wall_ns: u64,
     cycles: u64,
-    /// Cycles the simulator executed on its block-compiled burst path.
+    /// Cycles summed over each job's clusters (`cycles` counts a
+    /// multi-cluster job once, at its slowest cluster).
+    cluster_cycles: u64,
+    /// Cycles the simulator executed on its block-compiled burst path,
+    /// summed over clusters.
     replayed: u64,
     report: Report,
 }
@@ -56,12 +60,12 @@ impl Profile {
         self.cycles as f64 / (self.wall_ns as f64 / 1e9)
     }
 
-    /// Fraction of simulated cycles served by the block-compiled burst.
+    /// Fraction of the clusters' cycles served by the block-compiled burst.
     fn burst_frac(&self) -> f64 {
-        if self.cycles == 0 {
+        if self.cluster_cycles == 0 {
             0.0
         } else {
-            self.replayed as f64 / self.cycles as f64
+            self.replayed as f64 / self.cluster_cycles as f64
         }
     }
 }
@@ -123,9 +127,11 @@ fn profile(jobs: &[JobSpec], workers: usize) -> Profile {
     let records = engine.run_with(jobs, &tel);
     let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let cycles = records.iter().map(|r| r.cycles).sum();
+    let cluster_cycles = records.iter().map(|r| r.cluster_cycles).sum();
     let replayed = records.iter().map(|r| r.block_replayed_cycles).sum();
     let workers = engine.workers();
-    Profile { workers, wall_ns, cycles, replayed, report: Report::new(&tel.spans(), wall_ns) }
+    let report = Report::new(&tel.spans(), wall_ns);
+    Profile { workers, wall_ns, cycles, cluster_cycles, replayed, report }
 }
 
 /// The "where did the speedup go" comparison of the base profile and the
@@ -333,7 +339,7 @@ fn main() -> ExitCode {
             p.workers,
             p.cps(),
         ));
-        metrics_out.push_str(&metrics::render_burst(p.workers, p.cycles, p.replayed));
+        metrics_out.push_str(&metrics::render_burst(p.workers, p.cluster_cycles, p.replayed));
     }
     debug_assert!(metrics::validate(&metrics_out).is_ok());
 
@@ -461,4 +467,22 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn burst_share_of_a_multi_cluster_job_stays_a_fraction() {
+        let (n, block) = Kernel::GemmTiled.operating_point();
+        let jobs = job::scaling_grid(&[Kernel::GemmTiled], &[1], &[4], n, block);
+        assert!(jobs.iter().all(|j| j.label().ends_with("/x4")));
+        let p = profile(&jobs, 1);
+        // Four single-hart clusters each burst most of their own cycles, so
+        // the summed burst exceeds the system cycles (the slowest cluster).
+        assert!(p.replayed > p.cycles, "replayed {} vs system cycles {}", p.replayed, p.cycles);
+        let share = p.burst_frac();
+        assert!(share > 0.0 && share <= 1.0, "burst share {share}");
+    }
 }

@@ -188,6 +188,8 @@ impl Engine {
             Ok(outcome) => {
                 let mut record = RunRecord::success(job.clone(), &outcome);
                 record.block_replayed_cycles = system.block_replayed_cycles();
+                record.cluster_cycles =
+                    (0..system.clusters()).map(|k| system.cluster_stats(k).cycles).sum();
                 if job.trace() {
                     // The reset just above ran before the load, so the
                     // attached tracer holds exactly this job's events.

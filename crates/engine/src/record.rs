@@ -50,6 +50,11 @@ pub struct RunRecord {
     /// never serialized: it describes the simulator run, not the simulated
     /// machine, and would break byte-identical sweep output across hosts.
     pub block_replayed_cycles: u64,
+    /// Cycles summed over the system's clusters: the denominator of the
+    /// burst share, since `block_replayed_cycles` is summed over clusters
+    /// too while `cycles` is the maximum over them. Equal to `cycles` on a
+    /// single cluster; like `block_replayed_cycles`, never serialized.
+    pub cluster_cycles: u64,
     /// Static-verifier findings for the job's program (shared across every
     /// job built from the same cached program). Like `trace`, never
     /// serialized into the line sinks — render with `snitch_verify::report`.
@@ -75,6 +80,7 @@ impl RunRecord {
             trace: None,
             profile: None,
             block_replayed_cycles: 0,
+            cluster_cycles: outcome.stats.cycles,
             diagnostics: std::sync::Arc::new(Vec::new()),
         }
     }
@@ -111,6 +117,7 @@ impl RunRecord {
             trace: None,
             profile: None,
             block_replayed_cycles: 0,
+            cluster_cycles: 0,
             diagnostics: std::sync::Arc::new(Vec::new()),
         }
     }

@@ -13,10 +13,12 @@
 //! Field order is fixed and floats use shortest round-trip formatting, so
 //! metrics files diff cleanly; wall-clock derived *values* of course vary
 //! run to run. [`validate`] checks syntax and the per-metric required keys
-//! the same way `snitch_trace::chrome::validate` checks trace documents —
-//! CI runs it on every `perf-report` output.
+//! with the same scanner `snitch_trace::chrome::validate` uses for trace
+//! documents — CI runs it on every `perf-report` output.
 
 use std::fmt::Write as _;
+
+use snitch_trace::chrome::walk_object;
 
 use crate::span::Phase;
 use crate::timeline::Report;
@@ -87,6 +89,8 @@ pub fn render_scaling(
 /// Renders one `burst` line: the batch's block-burst engagement — the
 /// fraction of simulated cycles the simulator served on its block-compiled
 /// fast path (`Cluster::block_replayed_cycles` summed over the records).
+/// Both counts are summed over every job's clusters, so the engagement is
+/// a fraction on multi-cluster batches too.
 #[must_use]
 pub fn render_burst(workers: usize, cycles: u64, replayed_cycles: u64) -> String {
     let engagement = if cycles == 0 { 0.0 } else { replayed_cycles as f64 / cycles as f64 };
@@ -143,156 +147,11 @@ pub fn validate(contents: &str) -> Result<usize, String> {
 /// pairs (non-string values return an empty string). Validates the full
 /// syntax of the line, nested values included.
 fn parse_object_keys(s: &str) -> Result<Vec<(String, String)>, String> {
-    let mut p = Parser { s: s.as_bytes(), i: 0 };
-    let keys = p.object()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing bytes at offset {}", p.i));
-    }
+    // Scanned bytes render one char per byte, as in the trace validator.
+    let text = |bytes: &[u8]| bytes.iter().map(|&b| char::from(b)).collect::<String>();
+    let mut keys = Vec::new();
+    walk_object(s, |key, value| keys.push((text(key), value.map(text).unwrap_or_default())))?;
     Ok(keys)
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(b) if b == want => {
-                self.i += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected `{}` at offset {}, found {:?}",
-                want as char,
-                self.i,
-                other.map(|b| b as char)
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.s.get(self.i) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.s.get(self.i) {
-                        Some(b'u') => {
-                            if self.i + 4 >= self.s.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            self.i += 5;
-                            out.push('?');
-                        }
-                        Some(&c) => {
-                            self.i += 1;
-                            out.push(c as char);
-                        }
-                        None => return Err("truncated escape".to_string()),
-                    }
-                }
-                Some(&c) => {
-                    self.i += 1;
-                    out.push(c as char);
-                }
-            }
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at offset {}", self.i))
-        }
-    }
-
-    /// Skips any JSON value, validating its syntax; returns the value when
-    /// it is a string.
-    fn value(&mut self) -> Result<Option<String>, String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.object()?;
-                Ok(None)
-            }
-            Some(b'[') => {
-                self.eat(b'[')?;
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(None);
-                }
-                loop {
-                    self.value()?;
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(None);
-                        }
-                        other => return Err(format!("bad array at offset {}: {other:?}", self.i)),
-                    }
-                }
-            }
-            Some(b'"') => self.string().map(Some),
-            Some(b't') => self.literal("true").map(|()| None),
-            Some(b'f') => self.literal("false").map(|()| None),
-            Some(b'n') => self.literal("null").map(|()| None),
-            Some(c) if c == b'-' || c.is_ascii_digit() => {
-                self.i += 1;
-                while self.s.get(self.i).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.i += 1;
-                }
-                Ok(None)
-            }
-            other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, String)>, String> {
-        self.eat(b'{')?;
-        let mut keys = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(keys);
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let value = self.value()?;
-            keys.push((key, value.unwrap_or_default()));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(keys);
-                }
-                other => return Err(format!("bad object at offset {}: {other:?}", self.i)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,12 @@
 //! SSR beats, DMA activity and TCDM bank conflicts render as counter (`C`)
 //! series. Timestamps are cycles (1 cycle = 1 "µs" on the Perfetto axis).
 
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use snitch_riscv::inst::Inst;
 
 use crate::event::{EventKind, TraceEvent, CLUSTER_HART};
 
@@ -31,7 +36,8 @@ const TID_STALL: u8 = 3;
 /// one-event-per-line layout, separators, and the closing `otherData`
 /// stanza — so every sink produces documents with identical framing that
 /// [`validate`] and Perfetto both accept. Event helpers emit keys in the
-/// fixed order the golden tests pin (`ph`, `pid`, `tid`, `ts`, ...).
+/// fixed order the golden tests pin (`ph`, `pid`, `tid`, `ts`, ...) and
+/// write straight into the document buffer: no event allocates.
 #[derive(Debug)]
 pub struct Doc {
     out: String,
@@ -59,33 +65,43 @@ impl Doc {
         Doc { out, first: true }
     }
 
-    /// Appends one pre-rendered event object (a complete `{...}` JSON
-    /// value, no trailing separator).
-    pub fn push(&mut self, event_json: &str) {
+    /// Writes the separator before the next event and returns the buffer
+    /// to write the event into.
+    fn next_event(&mut self) -> &mut String {
         if !self.first {
             self.out.push(',');
         }
         self.out.push('\n');
-        self.out.push_str(event_json);
         self.first = false;
+        &mut self.out
+    }
+
+    /// Appends one pre-rendered event object (a complete `{...}` JSON
+    /// value, no trailing separator).
+    pub fn push(&mut self, event_json: &str) {
+        self.next_event().push_str(event_json);
     }
 
     /// Emits a `process_name` metadata record for `pid`.
     pub fn process_name(&mut self, pid: u32, name: &str) {
-        self.push(&format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-             \"args\":{{\"name\":{}}}}}",
-            escape(name)
-        ));
+        let out = self.next_event();
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":"
+        );
+        escape_into(out, name);
+        out.push_str("}}");
     }
 
     /// Emits a `thread_name` metadata record for `(pid, tid)`.
     pub fn thread_name(&mut self, pid: u32, tid: u32, name: &str) {
-        self.push(&format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":{}}}}}",
-            escape(name)
-        ));
+        let out = self.next_event();
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":"
+        );
+        escape_into(out, name);
+        out.push_str("}}");
     }
 
     /// Emits a complete (`ph:"X"`) duration event. `args_json`, when given,
@@ -99,33 +115,37 @@ impl Doc {
         name: &str,
         args_json: Option<&str>,
     ) {
-        let mut line = format!(
-            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"name\":{}",
-            escape(name)
+        let out = self.next_event();
+        let _ = write!(
+            out,
+            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"name\":"
         );
+        escape_into(out, name);
         if let Some(args) = args_json {
-            let _ = write!(line, ",\"args\":{args}");
+            out.push_str(",\"args\":");
+            out.push_str(args);
         }
-        line.push('}');
-        self.push(&line);
+        out.push('}');
     }
 
     /// Emits a thread-scoped instant (`ph:"i"`, `s:"t"`) event.
     pub fn instant(&mut self, pid: u32, tid: u32, ts: u64, name: &str) {
-        self.push(&format!(
-            "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":{}}}",
-            escape(name)
-        ));
+        let out = self.next_event();
+        let _ = write!(
+            out,
+            "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":"
+        );
+        escape_into(out, name);
+        out.push('}');
     }
 
     /// Emits a counter (`ph:"C"`) sample: series `name`, one `field: value`
     /// argument.
     pub fn counter(&mut self, pid: u32, ts: u64, name: &str, field: &str, value: u64) {
-        self.push(&format!(
-            "{{\"ph\":\"C\",\"pid\":{pid},\"ts\":{ts},\"name\":{},\
-             \"args\":{{\"{field}\":{value}}}}}",
-            escape(name)
-        ));
+        let out = self.next_event();
+        let _ = write!(out, "{{\"ph\":\"C\",\"pid\":{pid},\"ts\":{ts},\"name\":");
+        escape_into(out, name);
+        let _ = write!(out, ",\"args\":{{\"{field}\":{value}}}}}");
     }
 
     /// Closes the document, labeling the timestamp unit in `otherData`
@@ -168,59 +188,61 @@ pub fn render(events: &[TraceEvent]) -> String {
     // Counter samples are only emitted on active cycles; Perfetto holds a
     // counter at its last value, so each series needs a zero sample on the
     // first inactive cycle after activity or idle spans render as busy.
-    let sampled: std::collections::HashSet<(u8, CounterSeries, u64)> = events
+    let sampled: HashSet<(u8, CounterSeries, u64), FxBuild> = events
         .iter()
         .filter_map(|e| counter_series(&e.kind).map(|s| (e.hart, s, e.cycle)))
         .collect();
-    let zero_after = |hart: u8, kind: &EventKind, cycle: u64| -> Option<(CounterSeries, u64)> {
-        let series = counter_series(kind)?;
-        if sampled.contains(&(hart, series, cycle + 1)) {
-            return None;
-        }
-        Some((series, cycle + 1))
-    };
 
+    // A trace repeats a few hundred distinct instructions many times over,
+    // so each is disassembled once. Scratch buffers reused across events
+    // hold the counter-series name and the `args` object.
+    let mut disasm: HashMap<Inst, String, FxBuild> = HashMap::default();
+    let mut name = String::new();
+    let mut args = String::new();
     for ev in events {
         let (cycle, hart) = (ev.cycle, u32::from(ev.hart));
-        match ev.kind {
+        let sample = match ev.kind {
             EventKind::Issue { lane, pc, inst } => {
                 let tid = if lane.is_core_slot() { TID_CORE } else { TID_FREP };
-                let args = pc.map(|pc| format!("{{\"pc\":\"{pc:#010x}\"}}"));
-                doc.complete(hart, u32::from(tid), cycle, 1, &inst.to_string(), args.as_deref());
+                let text = disasm.entry(inst).or_insert_with(|| inst.to_string());
+                let args_json = pc.map(|pc| {
+                    args.clear();
+                    let _ = write!(args, "{{\"pc\":\"{pc:#010x}\"}}");
+                    args.as_str()
+                });
+                doc.complete(hart, u32::from(tid), cycle, 1, text, args_json);
+                None
             }
             EventKind::Retire { lane, inst } => {
-                let args = format!("{{\"lane\":\"{}\"}}", lane.tag());
-                doc.complete(hart, u32::from(TID_RETIRE), cycle, 1, &inst.to_string(), Some(&args));
+                let text = disasm.entry(inst).or_insert_with(|| inst.to_string());
+                args.clear();
+                let _ = write!(args, "{{\"lane\":\"{}\"}}", lane.tag());
+                doc.complete(hart, u32::from(TID_RETIRE), cycle, 1, text, Some(&args));
+                None
             }
             EventKind::Stall { cause, cycles } => {
-                doc.complete(
-                    hart,
-                    u32::from(TID_STALL),
-                    cycle,
-                    u64::from(cycles),
-                    &cause.to_string(),
-                    None,
-                );
+                let dur = u64::from(cycles);
+                doc.complete(hart, u32::from(TID_STALL), cycle, dur, cause.name(), None);
+                None
             }
-            EventKind::SsrBeat { ssr, count } => {
-                doc.counter(hart, cycle, &format!("ssr{ssr}"), "beats", u64::from(count));
-            }
-            EventKind::BankConflicts { count } => {
-                doc.counter(hart, cycle, "tcdm_conflicts", "new", u64::from(count));
-            }
-            EventKind::DmaActive { count } => {
-                doc.counter(hart, cycle, "dma", "beats", u64::from(count));
-            }
+            EventKind::SsrBeat { ssr, count } => Some((CounterSeries::Ssr(ssr), count)),
+            EventKind::BankConflicts { count } => Some((CounterSeries::Conflicts, count)),
+            EventKind::DmaActive { count } => Some((CounterSeries::Dma, count)),
             EventKind::BarrierArrive => {
                 doc.instant(hart, u32::from(TID_CORE), cycle, "barrier arrive");
+                None
             }
             EventKind::BarrierRelease => {
                 doc.instant(hart, u32::from(TID_CORE), cycle, "barrier release");
+                None
             }
-        }
-        if let Some((series, cycle)) = zero_after(ev.hart, &ev.kind, cycle) {
-            let (name, field) = series.labels();
-            doc.counter(hart, cycle, &name, field, 0);
+        };
+        if let Some((series, count)) = sample {
+            let field = series.labels(&mut name);
+            doc.counter(hart, cycle, &name, field, u64::from(count));
+            if !sampled.contains(&(ev.hart, series, cycle + 1)) {
+                doc.counter(hart, cycle + 1, &name, field, 0);
+            }
         }
     }
     doc.finish("cycle")
@@ -235,12 +257,23 @@ enum CounterSeries {
 }
 
 impl CounterSeries {
-    /// `(track name, args field)` of the series' samples.
-    fn labels(self) -> (String, &'static str) {
+    /// Writes the series' track name into `name` (replacing its contents)
+    /// and returns the `args` field of its samples.
+    fn labels(self, name: &mut String) -> &'static str {
+        name.clear();
         match self {
-            CounterSeries::Ssr(i) => (format!("ssr{i}"), "beats"),
-            CounterSeries::Conflicts => ("tcdm_conflicts".to_string(), "new"),
-            CounterSeries::Dma => ("dma".to_string(), "beats"),
+            CounterSeries::Ssr(i) => {
+                let _ = write!(name, "ssr{i}");
+                "beats"
+            }
+            CounterSeries::Conflicts => {
+                name.push_str("tcdm_conflicts");
+                "new"
+            }
+            CounterSeries::Dma => {
+                name.push_str("dma");
+                "beats"
+            }
         }
     }
 }
@@ -255,22 +288,65 @@ fn counter_series(kind: &EventKind) -> Option<CounterSeries> {
     }
 }
 
-/// JSON string escaping for instruction disassembly and labels.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The multiply-rotate hash of the Firefox/rustc `FxHasher`, for
+/// [`render`]'s small fixed-width keys (zero-sample lookups, instructions):
+/// deterministic and far cheaper than the default `SipHash`. It only picks
+/// buckets; lookups still compare whole keys.
+#[derive(Default)]
+struct FxHasher(u64);
+
+type FxBuild = BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
         }
     }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Appends `s` to `out` as a JSON string literal (quotes included),
+/// escaping `"`, `\` and control characters. Strings that need no escape —
+/// every disassembly line and label — are copied in one piece.
+fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    out
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+    } else {
+        out.push_str(s);
+    }
+    out.push('"');
 }
 
 /// What [`validate`] found in a well-formed trace document.
@@ -300,19 +376,65 @@ pub struct Summary {
 pub fn validate(json: &str) -> Result<Summary, String> {
     let mut p = Parser { s: json.as_bytes(), i: 0 };
     let summary = p.document()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing bytes at offset {}", p.i));
-    }
+    p.end()?;
     Ok(summary)
 }
 
+/// Scans `json` as exactly one JSON object (whitespace around it allowed)
+/// and calls `on_member(key, value)` for each top-level member in document
+/// order. `value` is the member's string value, or `None` when the value
+/// is not a string; nested values are syntax-checked and skipped.
+///
+/// Keys and values are borrowed from `json` unless they hold escapes. The
+/// decoding is [`validate`]'s: an escape keeps the byte after the
+/// backslash, and `\uXXXX` decodes to `?`.
+///
+/// # Errors
+///
+/// Returns a description of the first syntax violation, in [`validate`]'s
+/// wording.
+pub fn walk_object(
+    json: &str,
+    mut on_member: impl FnMut(&[u8], Option<&[u8]>),
+) -> Result<(), String> {
+    let mut p = Parser { s: json.as_bytes(), i: 0 };
+    p.object(|key, p| {
+        let value = if p.peek() == Some(b'"') {
+            Some(p.string()?)
+        } else {
+            p.value()?;
+            None
+        };
+        on_member(key, value.as_deref());
+        Ok(())
+    })?;
+    p.end()
+}
+
+/// Renders scanned string bytes for a message, one char per byte.
+fn bytes_text(bytes: &[u8]) -> String {
+    bytes.iter().map(|&b| char::from(b)).collect()
+}
+
+/// The event keys a phase can require, one bit each, in the order
+/// [`Parser::event`] reports a missing one.
+const EVENT_KEYS: [&str; 6] = ["pid", "tid", "ts", "dur", "name", "args"];
+const PID: u8 = 1 << 0;
+const TID: u8 = 1 << 1;
+const TS: u8 = 1 << 2;
+const DUR: u8 = 1 << 3;
+const NAME: u8 = 1 << 4;
+const ARGS: u8 = 1 << 5;
+
+/// A zero-copy JSON scanner: strings come back borrowed from the input
+/// unless they hold escapes, and objects report each key to a callback
+/// instead of collecting them.
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn ws(&mut self) {
         while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
             self.i += 1;
@@ -339,9 +461,35 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Rejects anything but whitespace after the parsed value.
+    fn end(&mut self) -> Result<(), String> {
+        self.ws();
+        if self.i != self.s.len() {
+            return Err(format!("trailing bytes at offset {}", self.i));
+        }
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, [u8]>, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let s = self.s;
+        let start = self.i;
+        match s[start..].iter().position(|&b| b == b'"' || b == b'\\') {
+            None => Err("unterminated string".to_string()),
+            Some(n) if s[start + n] == b'"' => {
+                self.i = start + n + 1;
+                Ok(Cow::Borrowed(&s[start..start + n]))
+            }
+            Some(n) => {
+                self.i = start + n;
+                self.unescape(s[start..start + n].to_vec()).map(Cow::Owned)
+            }
+        }
+    }
+
+    /// Decodes the rest of a string that holds an escape, appending to
+    /// `out` (the bytes before the first backslash).
+    fn unescape(&mut self, mut out: Vec<u8>) -> Result<Vec<u8>, String> {
         loop {
             match self.s.get(self.i) {
                 None => return Err("unterminated string".to_string()),
@@ -357,18 +505,18 @@ impl Parser<'_> {
                                 return Err("truncated \\u escape".to_string());
                             }
                             self.i += 5;
-                            out.push('?');
+                            out.push(b'?');
                         }
                         Some(&c) => {
                             self.i += 1;
-                            out.push(c as char);
+                            out.push(c);
                         }
                         None => return Err("truncated escape".to_string()),
                     }
                 }
                 Some(&c) => {
                     self.i += 1;
-                    out.push(c as char);
+                    out.push(c);
                 }
             }
         }
@@ -377,10 +525,7 @@ impl Parser<'_> {
     /// Skips any JSON value, validating its syntax.
     fn value(&mut self) -> Result<(), String> {
         match self.peek() {
-            Some(b'{') => {
-                self.object(|_, _| Ok(()))?;
-                Ok(())
-            }
+            Some(b'{') => self.object(|_, _| Ok(())),
             Some(b'[') => {
                 self.eat(b'[')?;
                 if self.peek() == Some(b']') {
@@ -426,16 +571,15 @@ impl Parser<'_> {
     }
 
     /// Parses an object, invoking `on_key(key, parser)` positioned at each
-    /// value; the callback must consume the value (default: `value()`).
+    /// value; the callback may consume the value (default: `value()`).
     fn object(
         &mut self,
-        mut on_key: impl FnMut(&str, &mut Self) -> Result<(), String>,
-    ) -> Result<Vec<String>, String> {
+        mut on_key: impl FnMut(&[u8], &mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.eat(b'{')?;
-        let mut keys = Vec::new();
         if self.peek() == Some(b'}') {
             self.i += 1;
-            return Ok(keys);
+            return Ok(());
         }
         loop {
             let key = self.string()?;
@@ -445,12 +589,11 @@ impl Parser<'_> {
             if self.i == before {
                 self.value()?;
             }
-            keys.push(key);
             match self.peek() {
                 Some(b',') => self.i += 1,
                 Some(b'}') => {
                     self.i += 1;
-                    return Ok(keys);
+                    return Ok(());
                 }
                 other => return Err(format!("bad object at offset {}: {other:?}", self.i)),
             }
@@ -461,7 +604,7 @@ impl Parser<'_> {
         let mut summary = Summary::default();
         let mut saw_trace_events = false;
         self.object(|key, p| {
-            if key == "traceEvents" {
+            if key == b"traceEvents" {
                 saw_trace_events = true;
                 p.eat(b'[')?;
                 if p.peek() == Some(b']') {
@@ -491,41 +634,33 @@ impl Parser<'_> {
     }
 
     fn event(&mut self, summary: &mut Summary) -> Result<(), String> {
-        let mut ph = String::new();
-        let keys = self.object(|key, p| {
-            if key == "ph" {
+        let mut ph = Cow::Borrowed(&b""[..]);
+        let mut seen = 0u8;
+        self.object(|key, p| {
+            if key == b"ph" {
                 ph = p.string()?;
+            } else if let Some(bit) = EVENT_KEYS.iter().position(|k| k.as_bytes() == key) {
+                seen |= 1 << bit;
             }
             Ok(())
         })?;
-        let has = |k: &str| keys.iter().any(|key| key == k);
-        let require = |wanted: &[&str]| -> Result<(), String> {
-            for k in wanted {
-                if !has(k) {
-                    return Err(format!("`{ph}` event #{} lacks key `{k}`", summary.events));
-                }
-            }
-            Ok(())
+        let (required, count) = match &*ph {
+            b"X" => (PID | TID | TS | DUR | NAME, &mut summary.complete),
+            b"C" => (PID | TS | NAME | ARGS, &mut summary.counters),
+            b"i" => (PID | TS | NAME, &mut summary.instants),
+            b"M" => (PID | NAME | ARGS, &mut summary.metadata),
+            other => return Err(format!("unknown event phase `{}`", bytes_text(other))),
         };
-        match ph.as_str() {
-            "X" => {
-                require(&["pid", "tid", "ts", "dur", "name"])?;
-                summary.complete += 1;
-            }
-            "C" => {
-                require(&["pid", "ts", "name", "args"])?;
-                summary.counters += 1;
-            }
-            "i" => {
-                require(&["pid", "ts", "name"])?;
-                summary.instants += 1;
-            }
-            "M" => {
-                require(&["pid", "name", "args"])?;
-                summary.metadata += 1;
-            }
-            other => return Err(format!("unknown event phase `{other}`")),
+        let missing = required & !seen;
+        if missing != 0 {
+            return Err(format!(
+                "`{}` event #{} lacks key `{}`",
+                bytes_text(&ph),
+                summary.events,
+                EVENT_KEYS[missing.trailing_zeros() as usize]
+            ));
         }
+        *count += 1;
         summary.events += 1;
         Ok(())
     }
@@ -535,7 +670,6 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use crate::event::{Lane, StallCause};
-    use snitch_riscv::inst::Inst;
 
     #[test]
     fn rendered_trace_validates() {
@@ -606,6 +740,9 @@ mod tests {
 
     #[test]
     fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        let mut out = String::from("x");
+        escape_into(&mut out, "a\"b\\c");
+        escape_into(&mut out, "plain");
+        assert_eq!(out, "x\"a\\\"b\\\\c\"\"plain\"");
     }
 }

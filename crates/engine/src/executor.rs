@@ -5,13 +5,15 @@
 //! returned `Vec<RunRecord>` is always in batch order regardless of how the
 //! OS schedules the workers. Each worker keeps one `System` alive and
 //! [`reset`](snitch_sim::system::System::reset)s it between jobs with the
-//! same configuration, reusing the multi-MiB memory allocations.
+//! same configuration, reusing its memory allocations. A one-worker batch
+//! runs on the calling thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use snitch_sim::system::System;
 use snitch_telemetry::{Phase, Telemetry, MAIN_WORKER};
+use snitch_trace::Tracer;
 
 use crate::cache::ProgramCache;
 use crate::job::JobSpec;
@@ -94,38 +96,44 @@ impl Engine {
         let slots: Vec<OnceLock<RunRecord>> = jobs.iter().map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
         let workers = self.workers.min(jobs.len()).max(1);
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let tel = telemetry.clone();
-                let (slots, cursor) = (&slots, &cursor);
-                s.spawn(move || {
-                    let worker = u32::try_from(w).unwrap_or(u32::MAX - 1);
-                    // One system per worker, rebuilt only on config change.
-                    let mut system: Option<System> = None;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        tel.job_started();
-                        // An illegal spec panics in Kernel::build (size
-                        // asserts); contain it to this job's record so one
-                        // bad spec cannot abort the whole sweep.
-                        let record = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.exec(job, &mut system, worker, i as u32, &tel)
-                        }))
-                        .unwrap_or_else(|panic| {
-                            // A panicked run leaves the system in an
-                            // unknown state; drop it.
-                            system = None;
-                            RunRecord::failure(job.clone(), panic_message(panic.as_ref()))
-                        });
-                        slots[i].set(record).expect("each job index is claimed once");
-                        tel.job_done();
-                    }
+        let work = |w: usize, tel: Telemetry| {
+            let worker = u32::try_from(w).unwrap_or(u32::MAX - 1);
+            // One system per worker, rebuilt only on config change.
+            let mut system: Option<System> = None;
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                tel.job_started();
+                // An illegal spec panics in Kernel::build (size asserts);
+                // contain it to this job's record so one bad spec cannot
+                // abort the whole sweep.
+                let record = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.exec(job, &mut system, worker, i as u32, &tel)
+                }))
+                .unwrap_or_else(|panic| {
+                    // A panicked run leaves the system in an unknown state;
+                    // drop it.
+                    system = None;
+                    RunRecord::failure(job.clone(), panic_message(panic.as_ref()))
                 });
+                slots[i].set(record).expect("each job index is claimed once");
+                tel.job_done();
             }
-        });
-        // The scope exit above is the result barrier; assembling the ordered
-        // vector afterwards is the collection phase.
+        };
+        if workers == 1 {
+            // No thread to spawn or join: waking the caller from a scope
+            // join would add host time outside every span.
+            work(0, telemetry.clone());
+        } else {
+            std::thread::scope(|s| {
+                for w in 0..workers {
+                    let (work, tel) = (&work, telemetry.clone());
+                    s.spawn(move || work(w, tel));
+                }
+            });
+        }
+        // Every worker has finished above (the scope exit is the result
+        // barrier); assembling the ordered vector is the collection phase.
         telemetry.time(MAIN_WORKER, None, Phase::Collect, || {
             slots.into_iter().map(|s| s.into_inner().expect("every job slot is filled")).collect()
         })
@@ -190,15 +198,16 @@ impl Engine {
                 record.block_replayed_cycles = system.block_replayed_cycles();
                 record.cluster_cycles =
                     (0..system.clusters()).map(|k| system.cluster_stats(k).cycles).sum();
+                // The reset just above ran before the load, so the attached
+                // tracer and profiler hold exactly this job's data; they move
+                // into the record, and the next job's reset re-arms them.
                 if job.trace() {
-                    // The reset just above ran before the load, so the
-                    // attached tracer holds exactly this job's events.
-                    let events = system.trace_events().unwrap_or_default().to_vec();
-                    record = record.with_trace(events);
+                    let events = system.take_tracer().map(Tracer::into_events);
+                    record = record.with_trace(events.unwrap_or_default());
                 }
                 if job.profile() {
-                    if let Some(profile) = system.profile() {
-                        record = record.with_profile(profile.clone());
+                    if let Some(profile) = system.take_profiler() {
+                        record = record.with_profile(profile);
                     }
                 }
                 record

@@ -203,8 +203,9 @@ impl Cluster {
     }
 
     /// Restores the cluster to its just-constructed state while reusing
-    /// *every* allocation — the memory arrays (cleared only over their dirty
-    /// watermarks), per-unit queues and tables — so one `Cluster` can
+    /// *every* allocation — the memory buffers (the TCDM zeroed over its
+    /// dirty watermark, the prefix-backed regions truncated with their
+    /// capacity kept), per-unit queues and tables — so one `Cluster` can
     /// execute a stream of jobs with zero per-job allocation and a clear
     /// cost proportional to what the previous job touched.
     ///

@@ -126,10 +126,10 @@ impl TcdmArbiter {
 
 /// Byte-addressable cluster memory (functional contents).
 ///
-/// Writes maintain per-region dirty watermarks so [`clear`](Self::clear) —
-/// called once per job by the engine's cluster reuse — zeroes only the bytes
-/// actually touched instead of the full multi-MiB address space (which
-/// dominated per-job wall time for small programs).
+/// The TCDM is dense; [`clear`](Self::clear) zeroes its dirty watermark.
+/// Main memory, the L2 copy and the peer windows are *prefix-backed*: backed
+/// only up to the highest offset written, reading zero past it, so each
+/// costs in proportion to that offset rather than to its address space.
 #[derive(Clone, Debug)]
 pub struct Memory {
     tcdm: Vec<u8>,
@@ -139,24 +139,18 @@ pub struct Memory {
     /// before the cluster runs and the self-written range is merged back out
     /// afterwards. In a standalone single-cluster run it *is* the L2.
     l2: Vec<u8>,
-    /// Snapshot buffers of remote clusters' TCDMs, backing the per-cluster
-    /// alias windows. Empty (windows unmapped) until
-    /// [`enable_peers`](Self::enable_peers); the own-cluster entry stays
+    /// Snapshots of remote clusters' TCDMs backing the alias windows, one
+    /// per cluster of the system (none until
+    /// [`enable_peers`](Self::enable_peers)); the own-cluster entry stays
     /// empty because the own window routes to `tcdm` directly.
     peers: Vec<Vec<u8>>,
     /// Which peer entry is this cluster itself.
     self_cluster: usize,
     /// Dirty byte range of `tcdm` (`lo..hi` offsets; empty when `lo >= hi`).
     tcdm_dirty: (usize, usize),
-    /// Dirty byte range of `main`.
-    main_dirty: (usize, usize),
-    /// Dirty byte range of `l2` — everything written, for `clear`.
-    l2_dirty: (usize, usize),
     /// Bytes of `l2` written *by this cluster's units* (not by sync-in):
     /// the range the `System` merges back into the canonical L2.
     l2_touched: (usize, usize),
-    /// Per-peer dirty ranges (for `clear`).
-    peers_dirty: Vec<(usize, usize)>,
     /// Per-peer self-written ranges (remote stores the `System` must apply
     /// to the real owner's TCDM).
     peers_touched: Vec<(usize, usize)>,
@@ -186,15 +180,12 @@ impl Memory {
     pub fn new() -> Self {
         Memory {
             tcdm: vec![0; layout::TCDM_SIZE as usize],
-            main: vec![0; layout::MAIN_SIZE as usize],
-            l2: vec![0; layout::L2_SIZE as usize],
+            main: Vec::new(),
+            l2: Vec::new(),
             peers: Vec::new(),
             self_cluster: 0,
             tcdm_dirty: CLEAN,
-            main_dirty: CLEAN,
-            l2_dirty: CLEAN,
             l2_touched: CLEAN,
-            peers_dirty: Vec::new(),
             peers_touched: Vec::new(),
         }
     }
@@ -202,16 +193,14 @@ impl Memory {
     /// Loads initial images (from an assembled program).
     pub fn load_images(&mut self, tcdm: &[u8], main: &[u8]) {
         self.tcdm[..tcdm.len()].copy_from_slice(tcdm);
-        self.main[..main.len()].copy_from_slice(main);
         widen(&mut self.tcdm_dirty, 0, tcdm.len());
-        widen(&mut self.main_dirty, 0, main.len());
+        store(&mut self.main, 0, main);
     }
 
     /// Loads the initial L2 image. Counts as sync-in, not as a write by
     /// this cluster's units.
     pub fn load_l2(&mut self, l2: &[u8]) {
-        self.l2[..l2.len()].copy_from_slice(l2);
-        widen(&mut self.l2_dirty, 0, l2.len());
+        store(&mut self.l2, 0, l2);
     }
 
     /// Maps the alias windows of an `clusters`-cluster system, identifying
@@ -226,45 +215,28 @@ impl Memory {
     pub fn enable_peers(&mut self, clusters: usize, self_cluster: usize) {
         assert!(self_cluster < clusters && clusters <= layout::MAX_CLUSTERS);
         self.self_cluster = self_cluster;
-        self.peers =
-            (0..clusters)
-                .map(|k| {
-                    if k == self_cluster {
-                        Vec::new()
-                    } else {
-                        vec![0; layout::TCDM_SIZE as usize]
-                    }
-                })
-                .collect();
-        self.peers_dirty = vec![CLEAN; clusters];
+        self.peers = vec![Vec::new(); clusters];
         self.peers_touched = vec![CLEAN; clusters];
     }
 
-    /// Zeroes all written contents in place, reusing the allocations. After
-    /// `clear` plus `load_images` the memory is indistinguishable from a
-    /// freshly constructed one. Only the dirty watermark range is touched,
-    /// so the cost is proportional to the bytes a job actually wrote.
+    /// Zeroes all written contents, keeping the allocations. After `clear`
+    /// plus `load_images` the memory is indistinguishable from a freshly
+    /// constructed one; the cost is proportional to what a job wrote.
     pub fn clear(&mut self) {
-        for (buf, range) in [
-            (&mut self.tcdm, &mut self.tcdm_dirty),
-            (&mut self.main, &mut self.main_dirty),
-            (&mut self.l2, &mut self.l2_dirty),
-        ] {
-            let (lo, hi) = *range;
-            if lo < hi {
-                buf[lo..hi].fill(0);
-            }
-            *range = CLEAN;
+        let (lo, hi) = std::mem::replace(&mut self.tcdm_dirty, CLEAN);
+        if lo < hi {
+            self.tcdm[lo..hi].fill(0);
         }
-        for (buf, range) in self.peers.iter_mut().zip(&mut self.peers_dirty) {
-            let (lo, hi) = *range;
-            if lo < hi {
-                buf[lo..hi].fill(0);
-            }
-            *range = CLEAN;
-        }
+        self.main.clear();
+        self.l2.clear();
+        self.peers.iter_mut().for_each(Vec::clear);
         self.l2_touched = CLEAN;
         self.peers_touched.fill(CLEAN);
+    }
+
+    /// Whether cluster `k`'s alias window exists in this system.
+    fn window_mapped(&self, k: usize) -> bool {
+        k == self.self_cluster || k < self.peers.len()
     }
 
     /// Whether `addr..addr+len` is mapped.
@@ -278,9 +250,7 @@ impl Memory {
             return true;
         }
         match (layout::alias_cluster(addr), layout::alias_cluster(end)) {
-            (Some((k, _)), Some((k2, _))) if k == k2 => {
-                k == self.self_cluster || self.peers.get(k).is_some_and(|p| !p.is_empty())
-            }
+            (Some((k, _)), Some((k2, _))) => k == k2 && self.window_mapped(k),
             _ => false,
         }
     }
@@ -293,26 +263,27 @@ impl Memory {
         else {
             return Ok(None);
         };
-        if k != k2 || !(k == self.self_cluster || self.peers.get(k).is_some_and(|p| !p.is_empty()))
-        {
+        if k != k2 || !self.window_mapped(k) {
             return Err(MemFault { addr });
         }
         Ok(Some((k, off as usize)))
     }
 
+    /// The bytes of `addr..addr+len`, cut short where a prefix ends.
     fn slice(&self, addr: u32, len: u32) -> Result<&[u8], MemFault> {
         if layout::is_tcdm(addr) && layout::is_tcdm(addr + len - 1) {
             let off = (addr - layout::TCDM_BASE) as usize;
             Ok(&self.tcdm[off..off + len as usize])
         } else if layout::is_main(addr) && layout::is_main(addr + len - 1) {
-            let off = (addr - layout::MAIN_BASE) as usize;
-            Ok(&self.main[off..off + len as usize])
+            Ok(backed(&self.main, (addr - layout::MAIN_BASE) as usize, len as usize))
         } else if layout::is_l2(addr) && layout::is_l2(addr + len - 1) {
-            let off = (addr - layout::L2_BASE) as usize;
-            Ok(&self.l2[off..off + len as usize])
+            Ok(backed(&self.l2, (addr - layout::L2_BASE) as usize, len as usize))
         } else if let Some((k, off)) = self.alias_target(addr, len)? {
-            let buf = if k == self.self_cluster { &self.tcdm } else { &self.peers[k] };
-            Ok(&buf[off..off + len as usize])
+            Ok(if k == self.self_cluster {
+                &self.tcdm[off..off + len as usize]
+            } else {
+                backed(&self.peers[k], off, len as usize)
+            })
         } else {
             Err(MemFault { addr })
         }
@@ -324,43 +295,42 @@ impl Memory {
             widen(&mut self.tcdm_dirty, off, off + len as usize);
             Ok(&mut self.tcdm[off..off + len as usize])
         } else if layout::is_main(addr) && layout::is_main(addr + len - 1) {
-            let off = (addr - layout::MAIN_BASE) as usize;
-            widen(&mut self.main_dirty, off, off + len as usize);
-            Ok(&mut self.main[off..off + len as usize])
+            Ok(backing(&mut self.main, (addr - layout::MAIN_BASE) as usize, len as usize))
         } else if layout::is_l2(addr) && layout::is_l2(addr + len - 1) {
             let off = (addr - layout::L2_BASE) as usize;
-            widen(&mut self.l2_dirty, off, off + len as usize);
             widen(&mut self.l2_touched, off, off + len as usize);
-            Ok(&mut self.l2[off..off + len as usize])
+            Ok(backing(&mut self.l2, off, len as usize))
         } else if let Some((k, off)) = self.alias_target(addr, len)? {
             if k == self.self_cluster {
                 widen(&mut self.tcdm_dirty, off, off + len as usize);
                 Ok(&mut self.tcdm[off..off + len as usize])
             } else {
-                widen(&mut self.peers_dirty[k], off, off + len as usize);
                 widen(&mut self.peers_touched[k], off, off + len as usize);
-                Ok(&mut self.peers[k][off..off + len as usize])
+                Ok(backing(&mut self.peers[k], off, len as usize))
             }
         } else {
             Err(MemFault { addr })
         }
     }
 
+    /// Bytes currently backed, over every region.
+    #[cfg(test)]
+    pub(crate) fn backed_bytes(&self) -> usize {
+        [&self.tcdm, &self.main, &self.l2].into_iter().chain(&self.peers).map(Vec::len).sum()
+    }
+
     // ---- System synchronisation (multi-cluster runs) ----
 
     /// Overwrites `l2[off..off+data.len()]` with canonical bytes from the
-    /// `System`. Counts toward `clear` but not toward the cluster's own
-    /// written range.
+    /// `System`. Does not count toward the cluster's own written range.
     pub fn sync_l2_in(&mut self, off: usize, data: &[u8]) {
-        self.l2[off..off + data.len()].copy_from_slice(data);
-        widen(&mut self.l2_dirty, off, off + data.len());
+        store(&mut self.l2, off, data);
     }
 
     /// Overwrites peer `k`'s snapshot window with that cluster's actual TCDM
     /// bytes (same sync-in semantics as [`sync_l2_in`](Self::sync_l2_in)).
     pub fn sync_peer_in(&mut self, k: usize, off: usize, data: &[u8]) {
-        self.peers[k][off..off + data.len()].copy_from_slice(data);
-        widen(&mut self.peers_dirty[k], off, off + data.len());
+        store(&mut self.peers[k], off, data);
     }
 
     /// The `l2` range written by this cluster's own units since the last
@@ -475,6 +445,25 @@ fn widen(range: &mut (usize, usize), lo: usize, hi: usize) {
     }
 }
 
+/// The backed part of `buf[off..off+len]` in a prefix-backed buffer.
+pub(crate) fn backed(buf: &[u8], off: usize, len: usize) -> &[u8] {
+    buf.get(off..(off + len).min(buf.len())).unwrap_or_default()
+}
+
+/// `buf[off..off+len]` of a prefix-backed buffer, first zero-extending the
+/// buffer to cover the range.
+fn backing(buf: &mut Vec<u8>, off: usize, len: usize) -> &mut [u8] {
+    if buf.len() < off + len {
+        buf.resize(off + len, 0);
+    }
+    &mut buf[off..off + len]
+}
+
+/// Copies `data` into a prefix-backed buffer at `off`.
+pub(crate) fn store(buf: &mut Vec<u8>, off: usize, data: &[u8]) {
+    backing(buf, off, data.len()).copy_from_slice(data);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,6 +562,9 @@ mod tests {
     fn peer_windows_snapshot_and_track_remote_stores() {
         let mut m = Memory::new();
         m.enable_peers(2, 0);
+        // Mapped by the cluster count, before any sync: unsynced bytes read 0.
+        assert!(m.is_mapped(layout::tcdm_alias_base(1), 8));
+        assert_eq!(m.read(layout::tcdm_alias_base(1) + 16, 8).unwrap(), 0);
         m.sync_peer_in(1, 0, &[1, 2, 3, 4]);
         assert_eq!(m.read(layout::tcdm_alias_base(1), 4).unwrap(), 0x0403_0201);
         assert_eq!(m.take_peer_touched(1), None, "snapshot fill is not a remote store");
@@ -585,6 +577,47 @@ mod tests {
         assert!(m.read(layout::tcdm_alias_base(2), 4).is_err());
         assert!(!m.is_mapped(layout::tcdm_alias_base(2), 4));
         assert!(m.is_mapped(layout::tcdm_alias_base(1), 4));
+    }
+
+    #[test]
+    fn reads_past_the_backed_prefix_are_zero() {
+        let mut m = Memory::new();
+        m.enable_peers(2, 0);
+        let peer = layout::tcdm_alias_base(1);
+        for base in [layout::MAIN_BASE, layout::L2_BASE, peer] {
+            // Unbacked: nothing written yet.
+            assert_eq!(m.read(base + 4096, 8).unwrap(), 0, "{base:#x} unbacked");
+            // Back 12 bytes; a read straddling the end keeps the backed
+            // low bytes and zero-fills the rest.
+            m.write(base, 8, u64::MAX).unwrap();
+            m.write(base + 8, 4, 0x1122_3344).unwrap();
+            assert_eq!(m.read(base + 8, 8).unwrap(), 0x1122_3344, "{base:#x} straddle");
+            assert_eq!(m.read(base + 10, 4).unwrap(), 0x1122, "{base:#x} straddle");
+            assert_eq!(m.read(base + 12, 8).unwrap(), 0, "{base:#x} at the end");
+            assert_eq!(m.read(base + 0x1_0000, 4).unwrap(), 0, "{base:#x} far past the end");
+        }
+        // Only the written bytes are backed.
+        assert_eq!(m.backed_bytes(), layout::TCDM_SIZE as usize + 3 * 12);
+    }
+
+    #[test]
+    fn clear_reads_back_zero_and_keeps_the_capacity() {
+        let mut m = Memory::new();
+        m.enable_peers(2, 1);
+        let peer = layout::tcdm_alias_base(0);
+        for base in [layout::MAIN_BASE, layout::L2_BASE, peer] {
+            m.write(base + 64 * 1024, 8, 0xfeed).unwrap();
+        }
+        let capacity = |m: &Memory| (m.main.capacity(), m.l2.capacity(), m.peers[0].capacity());
+        let before = capacity(&m);
+        m.clear();
+        for base in [layout::MAIN_BASE, layout::L2_BASE, peer] {
+            assert_eq!(m.read(base + 64 * 1024, 8).unwrap(), 0, "{base:#x} not cleared");
+        }
+        assert_eq!(m.backed_bytes(), layout::TCDM_SIZE as usize, "only the TCDM stays backed");
+        assert_eq!(capacity(&m), before, "clear keeps every allocation");
+        assert_eq!(m.take_peer_touched(0), None);
+        assert_eq!(m.take_l2_touched(), None);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! synced in before the
 //! cluster runs and whose self-written range is merged back out afterwards.
 //! Remote-TCDM alias windows work the same way, against per-cluster snapshot
-//! buffers.
+//! buffers. The canonical L2, like every cluster's L2 copy and peer windows,
+//! is prefix-backed: it holds bytes only up to the highest offset written,
+//! and the rest reads as zero.
 //!
 //! The resulting visibility rule is simple and deterministic: cluster `k`
 //! observes the L2 and the TCDMs of clusters `j < k` *after* those clusters
@@ -32,7 +34,7 @@ use snitch_trace::{TraceEvent, Tracer};
 use crate::cluster::Cluster;
 use crate::config::SystemConfig;
 use crate::error::RunError;
-use crate::mem::MemFault;
+use crate::mem::{self, MemFault};
 use crate::stats::Stats;
 
 /// A system of one or more Snitch clusters sharing an L2 region.
@@ -40,11 +42,9 @@ use crate::stats::Stats;
 pub struct System {
     cfg: SystemConfig,
     clusters: Vec<Cluster>,
-    /// Canonical shared-L2 contents (authoritative between cluster runs).
+    /// Canonical shared-L2 contents (authoritative between cluster runs),
+    /// prefix-backed: its length bounds how much each sync-in copies.
     l2: Vec<u8>,
-    /// High-water mark of meaningful canonical L2 bytes (image + merges):
-    /// bounds how much each sync-in copies.
-    l2_live: usize,
     /// System rollup, refreshed by [`run`](Self::run).
     stats: Stats,
 }
@@ -70,9 +70,7 @@ impl System {
                 c.join_system(cfg.clusters, k);
             }
         }
-        // The canonical L2 buffer is only needed when sync steps exist.
-        let l2 = if cfg.clusters > 1 { vec![0; layout::L2_SIZE as usize] } else { Vec::new() };
-        System { cfg, clusters, l2, l2_live: 0, stats: Stats::default() }
+        System { cfg, clusters, l2: Vec::new(), stats: Stats::default() }
     }
 
     /// The configuration this system was built with.
@@ -104,23 +102,19 @@ impl System {
         for c in &mut self.clusters {
             c.load_program(program);
         }
-        let image = program.l2_image();
+        // The canonical L2 is only needed when sync steps exist.
         if self.clusters.len() > 1 {
-            self.l2[..image.len()].copy_from_slice(image);
+            mem::store(&mut self.l2, 0, program.l2_image());
         }
-        self.l2_live = image.len();
     }
 
     /// Restores the just-constructed state, reusing every allocation (the
-    /// per-cluster reset contract, plus the canonical L2 watermark).
+    /// per-cluster reset contract, plus the canonical L2).
     pub fn reset(&mut self) {
         for c in &mut self.clusters {
             c.reset();
         }
-        if self.l2_live > 0 && !self.l2.is_empty() {
-            self.l2[..self.l2_live].fill(0);
-        }
-        self.l2_live = 0;
+        self.l2.clear();
         self.stats = Stats::default();
     }
 
@@ -157,21 +151,16 @@ impl System {
     /// Copies the canonical L2 and the peer-TCDM snapshots into cluster
     /// `k`'s memory before it runs.
     fn sync_in(&mut self, k: usize) {
-        if self.l2_live > 0 {
-            let live = &self.l2[..self.l2_live];
-            self.clusters[k].mem_mut().sync_l2_in(0, live);
+        if !self.l2.is_empty() {
+            self.clusters[k].mem_mut().sync_l2_in(0, &self.l2);
         }
         // Peer snapshots: cluster k sees every other cluster's TCDM as
         // written so far (post-run for j < k, pre-run images for j > k).
-        for j in 0..self.clusters.len() {
-            if j == k {
-                continue;
+        for j in (0..self.clusters.len()).filter(|&j| j != k) {
+            let [dst, src] = self.pair(k, j);
+            if let Some((off, bytes)) = src.mem().tcdm_written() {
+                dst.mem_mut().sync_peer_in(j, off, bytes);
             }
-            let Some((off, bytes)) = self.clusters[j].mem().tcdm_written() else {
-                continue;
-            };
-            let copy = bytes.to_vec();
-            self.clusters[k].mem_mut().sync_peer_in(j, off, &copy);
         }
     }
 
@@ -179,20 +168,19 @@ impl System {
     /// remote-window stores to the owning clusters' TCDMs.
     fn merge_out(&mut self, k: usize) {
         if let Some((off, bytes)) = self.clusters[k].mem_mut().take_l2_touched() {
-            let copy = bytes.to_vec();
-            self.l2[off..off + copy.len()].copy_from_slice(&copy);
-            self.l2_live = self.l2_live.max(off + copy.len());
+            mem::store(&mut self.l2, off, bytes);
         }
-        for j in 0..self.clusters.len() {
-            if j == k {
-                continue;
+        for j in (0..self.clusters.len()).filter(|&j| j != k) {
+            let [src, dst] = self.pair(k, j);
+            if let Some((off, bytes)) = src.mem_mut().take_peer_touched(j) {
+                dst.mem_mut().apply_remote_tcdm(off, bytes);
             }
-            let Some((off, bytes)) = self.clusters[k].mem_mut().take_peer_touched(j) else {
-                continue;
-            };
-            let copy = bytes.to_vec();
-            self.clusters[j].mem_mut().apply_remote_tcdm(off, &copy);
         }
+    }
+
+    /// Borrows two distinct clusters mutably at once.
+    fn pair(&mut self, a: usize, b: usize) -> [&mut Cluster; 2] {
+        self.clusters.get_disjoint_mut([a, b]).expect("a cluster never syncs with itself")
     }
 
     /// The system statistics rollup from the last [`run`](Self::run).
@@ -219,7 +207,7 @@ impl System {
         if self.clusters.len() > 1 && layout::is_l2(addr) && layout::is_l2(addr + len - 1) {
             let off = (addr - layout::L2_BASE) as usize;
             let mut v = 0u64;
-            for (i, b) in self.l2[off..off + len as usize].iter().enumerate() {
+            for (i, b) in mem::backed(&self.l2, off, len as usize).iter().enumerate() {
                 v |= u64::from(*b) << (8 * i);
             }
             return Ok(v);
@@ -384,6 +372,28 @@ mod tests {
         sys.run().unwrap();
         assert_eq!(sys.cluster(1).mem().read(out, 4).unwrap(), 99);
         assert_eq!(sys.cluster(0).mem().read(out, 4).unwrap(), 0, "cluster 0 took the store path");
+    }
+
+    #[test]
+    fn multi_cluster_gemm_backs_only_what_it_writes() {
+        // A cluster's address space spans ~24 MiB (main, L2, peer windows);
+        // only the bytes the kernel writes may be backed, also after a reset.
+        let p = snitch_kernels::gemm_tiled::copift(64, 8, 4);
+        let mut sys = System::new(SystemConfig {
+            cluster: ClusterConfig { cores: 8, ..ClusterConfig::default() },
+            clusters: 4,
+        });
+        for _ in 0..2 {
+            sys.reset();
+            sys.load_program(&p);
+            sys.run().unwrap();
+            for k in 0..4 {
+                let backed = sys.cluster(k).mem().backed_bytes();
+                assert!(backed < 1 << 20, "cluster {k} backs {backed} bytes");
+            }
+            assert!(sys.l2.len() < 1 << 20, "canonical L2 backs {} bytes", sys.l2.len());
+            assert_eq!(sys.read_mem(layout::L2_BASE + layout::L2_SIZE - 8, 8).unwrap(), 0);
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@ pub enum Phase {
     Verify,
     /// Program-cache hit: lookup only.
     CacheHit,
-    /// Constructing a worker's `Cluster` (multi-MiB TCDM/memory
-    /// allocation) because none existed or the configuration changed.
+    /// Constructing a worker's `System` because none existed or the
+    /// configuration changed.
     Warm,
     /// Resetting a reused cluster between jobs.
     Reset,

@@ -43,6 +43,9 @@ Options:
 /// One profiled batch: worker count, measured wall time, throughput in
 /// simulated cycles per host second, and the span attribution.
 struct Profile {
+    /// The pool width asked for on the command line.
+    requested: usize,
+    /// The engine's actual pool width (clamped to the host's parallelism).
     workers: usize,
     wall_ns: u64,
     cycles: u64,
@@ -56,6 +59,11 @@ struct Profile {
 }
 
 impl Profile {
+    /// The row label: `4→2` when the engine clamped a requested pool.
+    fn label(&self) -> String {
+        workers_label(self.requested, self.workers)
+    }
+
     fn cps(&self) -> f64 {
         self.cycles as f64 / (self.wall_ns as f64 / 1e9)
     }
@@ -67,6 +75,15 @@ impl Profile {
         } else {
             self.replayed as f64 / self.cluster_cycles as f64
         }
+    }
+}
+
+/// `requested→effective` when the two differ, else the plain count.
+fn workers_label(requested: usize, effective: usize) -> String {
+    if requested == effective {
+        effective.to_string()
+    } else {
+        format!("{requested}→{effective}")
     }
 }
 
@@ -120,8 +137,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 /// compile cost is part of the profile — exactly what a cold sweep pays.
 /// The profile records the engine's *actual* pool width, which may be
 /// smaller than `workers`: the engine clamps to the host's parallelism.
-fn profile(jobs: &[JobSpec], workers: usize) -> Profile {
-    let engine = Engine::new(workers);
+fn profile(jobs: &[JobSpec], requested: usize) -> Profile {
+    let engine = Engine::new(requested);
     let tel = Telemetry::new();
     let t0 = Instant::now();
     let records = engine.run_with(jobs, &tel);
@@ -131,7 +148,7 @@ fn profile(jobs: &[JobSpec], workers: usize) -> Profile {
     let replayed = records.iter().map(|r| r.block_replayed_cycles).sum();
     let workers = engine.workers();
     let report = Report::new(&tel.spans(), wall_ns);
-    Profile { workers, wall_ns, cycles, cluster_cycles, replayed, report }
+    Profile { requested, workers, wall_ns, cycles, cluster_cycles, replayed, report }
 }
 
 /// The "where did the speedup go" comparison of the base profile and the
@@ -353,7 +370,7 @@ fn main() -> ExitCode {
         for p in &profiles {
             println!(
                 "| {} | {:.2} | {:.2} | {:.2}x | {:.2} | {:.2} | {:.1} | {:.1} |",
-                p.workers,
+                p.label(),
                 p.wall_ns as f64 / 1e6,
                 p.cps() / 1e6,
                 p.cps() / base.cps(),
@@ -379,7 +396,7 @@ fn main() -> ExitCode {
         }
     } else {
         for p in &profiles {
-            println!("=== {} worker(s) ===", p.workers);
+            println!("=== {} worker(s) ===", p.label());
             print!("{}", p.report.render_text());
             println!(
                 "throughput: {:.2}M simulated cycles/s ({:.2}x of {}-worker base), \
@@ -472,6 +489,13 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clamped_pools_are_labelled_requested_to_effective() {
+        assert_eq!(workers_label(1, 1), "1");
+        assert_eq!(workers_label(4, 2), "4→2");
+        assert_eq!(workers_label(8, 2), "8→2");
+    }
 
     #[test]
     fn burst_share_of_a_multi_cluster_job_stays_a_fraction() {

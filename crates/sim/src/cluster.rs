@@ -5,14 +5,15 @@ use snitch_profile::Profiler;
 use snitch_riscv::reg::{FpReg, IntReg};
 use snitch_trace::{EventKind, TraceEvent, Tracer, CLUSTER_HART};
 
-use crate::block::BlockCache;
+use crate::block::TextEntry;
 use crate::config::ClusterConfig;
-use crate::core::{Decoded, IntCore};
+use crate::core::IntCore;
 use crate::dma::Dma;
 use crate::error::RunError;
 use crate::fpss::Fpss;
 use crate::icache::L0Cache;
 use crate::mem::{Memory, TcdmArbiter, TcdmPort};
+use crate::observe::Observer;
 use crate::ssr::Ssr;
 use crate::stats::Stats;
 use crate::trace_event;
@@ -88,7 +89,9 @@ impl CoreUnit {
 #[derive(Clone, Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
-    text: Vec<Decoded>,
+    /// The text section lowered for issue (rebuilt by
+    /// [`load_program`](Self::load_program)).
+    text: Vec<TextEntry>,
     units: Vec<CoreUnit>,
     dma: Dma,
     mem: Memory,
@@ -117,23 +120,20 @@ pub struct Cluster {
     /// Cycles the run loop advanced without stepping any unit (diagnostic;
     /// not part of [`Stats`] — skipped cycles are ordinary elapsed cycles).
     skipped_cycles: u64,
-    /// Block-compiled fast path enable (on by default; see
+    /// Single-hart burst loop enable (on by default; see
     /// [`set_block_compile`](Self::set_block_compile)).
     block: bool,
     /// Cycles executed inside block bursts (diagnostic; not part of
     /// [`Stats`] — replayed cycles are ordinary elapsed cycles).
     block_replayed_cycles: u64,
-    /// The text section pre-lowered into burst micro-ops (rebuilt by
-    /// [`load_program`](Self::load_program)).
-    blocks: BlockCache,
     /// Event collector, attached when `cfg.trace` is set (or explicitly via
     /// [`attach_tracer`](Self::attach_tracer)). `None` is the hot path:
     /// every emission site is a single branch and constructs nothing.
     tracer: Option<Tracer>,
     /// Cycle-profile collector, attached when `cfg.profile` is set (or
     /// explicitly via [`attach_profiler`](Self::attach_profiler)). Unlike
-    /// the tracer it stays engaged on the block-burst fast path — charges
-    /// are O(1) array increments, not event records.
+    /// a recording tracer it stays engaged on the burst path — charges are
+    /// O(1) array increments, not event records.
     profiler: Option<Profiler>,
 }
 
@@ -173,7 +173,6 @@ impl Cluster {
             skipped_cycles: 0,
             block: true,
             block_replayed_cycles: 0,
-            blocks: BlockCache::default(),
             tracer,
             profiler,
         }
@@ -183,8 +182,11 @@ impl Cluster {
     /// Non-parallel programs boot only hart 0 (secondary harts park halted);
     /// [`Program::parallel`] programs boot every hart at the entry point.
     pub fn load_program(&mut self, program: &Program) {
-        self.text = program.text().iter().copied().map(Decoded::new).collect();
-        self.blocks.recompile(&self.text, &self.cfg);
+        self.text.clear();
+        let pcs = (snitch_asm::layout::TEXT_BASE..).step_by(4);
+        self.text.extend(
+            program.text().iter().zip(pcs).map(|(&inst, pc)| TextEntry::lower(inst, pc, &self.cfg)),
+        );
         self.mem.load_images(program.tcdm_image(), program.main_image());
         self.mem.load_l2(program.l2_image());
         let mut halted = 0;
@@ -238,7 +240,6 @@ impl Cluster {
         self.skipped_cycles = 0;
         self.block = true;
         self.block_replayed_cycles = 0;
-        self.blocks.clear();
         self.tracer = self.cfg.trace.then(Tracer::new);
         self.profiler = self.cfg.profile.then(Profiler::new);
     }
@@ -401,15 +402,15 @@ impl Cluster {
         self.skipped_cycles
     }
 
-    /// Enables or disables the block-compiled fast path (on by default).
+    /// Enables or disables the single-hart burst loop (on by default).
     ///
-    /// With block compilation enabled, `run` executes single-hart stretches
-    /// through pre-lowered micro-ops in a tight burst loop instead of the
-    /// generic all-units stepper (see `DESIGN.md` §15); results, [`Stats`]
-    /// and error cycles are bit-identical either way — the force-stepped
-    /// mode exists as the reference for the differential suite in
-    /// `tests/block_compile.rs`. [`reset`](Self::reset) restores the
-    /// default.
+    /// With it enabled, `run` schedules single-hart stretches through a
+    /// tight burst loop instead of the generic all-units stepper; both
+    /// issue through the same `IntCore::step` (see `DESIGN.md` §15), and
+    /// results, [`Stats`] and error cycles are bit-identical either way —
+    /// the force-stepped mode exists as the reference for the differential
+    /// suite in `tests/block_compile.rs`. [`reset`](Self::reset) restores
+    /// the default.
     pub fn set_block_compile(&mut self, enabled: bool) {
         self.block = enabled;
     }
@@ -470,13 +471,14 @@ impl Cluster {
             let was_halted = core.halted();
             let was_waiting = core.barrier_waiting();
             let issued_before = stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles;
+            let mut obs =
+                Observer { stats: &mut *stats, tracer: &mut *tracer, profiler: &mut *profiler };
 
             // FP→int write-backs land before the core issues, so results
             // are visible the cycle they retire.
             fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
 
-            let core_result =
-                core.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, stats, tracer, profiler);
+            let core_result = core.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, &mut obs);
             // Halt/barrier transitions happen only inside `core.step`;
             // commit them even when this or a later unit faults, so
             // `halted()` can never go stale on an aborted cycle.
@@ -492,7 +494,7 @@ impl Cluster {
             }
 
             let hart = core.hart_id() as u8;
-            if let Err(e) = fpss.step(now, hart, cfg, mem, arb, ssrs, stats, tracer, profiler) {
+            if let Err(e) = fpss.step(now, hart, cfg, mem, arb, ssrs, &mut obs) {
                 fault = Some(e);
                 break;
             }
@@ -605,79 +607,74 @@ impl Cluster {
                 return Err(RunError::Timeout { cycles: self.cycle });
             }
             // Block burst: a lone running hart with everything else parked
-            // executes through the pre-lowered micro-ops until an exit
-            // condition hands control back here.
+            // runs in a loop specialised to it until an exit condition
+            // hands control back here.
             if let Some(hart) = self.block_eligible_hart() {
                 if self.block_burst(hart)? {
                     continue;
                 }
             }
-            // Quiescent skip: when every unit is provably silent, jump the
-            // clock straight to the next wake event. Clamped to the timeout
-            // and deadlock boundaries so both errors are still reported at
-            // exactly the cycle a force-stepped loop would report them.
-            if self.skip {
-                if let Some(wake) = self.quiescent_wake() {
-                    let deadline = self.last_progress_cycle + DEADLOCK_WINDOW + 1;
-                    let target = wake.min(self.cfg.max_cycles).min(deadline);
-                    if target > self.cycle {
-                        self.skipped_cycles += target - self.cycle;
-                        self.cycle = target;
-                        if self.cycle - self.last_progress_cycle > DEADLOCK_WINDOW {
-                            return Err(RunError::Deadlock {
-                                cycle: self.cycle,
-                                pc: self.stuck_pc(),
-                            });
-                        }
-                        continue;
-                    }
-                }
+            let deadline = self.last_progress_cycle + DEADLOCK_WINDOW + 1;
+            if self.skip_to_wake(deadline, self.cfg.max_cycles.min(deadline))? {
+                continue;
             }
             if self.step_units()? {
                 self.last_progress_cycle = self.cycle;
-            } else if self.cycle - self.last_progress_cycle > DEADLOCK_WINDOW {
+            } else if self.cycle >= deadline {
                 return Err(RunError::Deadlock { cycle: self.cycle, pc: self.stuck_pc() });
             }
         }
         // Let in-flight FP work retire so post-run register/memory reads are
         // complete (bounded by the deadlock window).
-        let drain_start = self.cycle;
+        let deadline = self.cycle + DEADLOCK_WINDOW + 1;
         while self
             .units
             .iter()
             .any(|u| !u.fpss.drained(self.cycle) || u.ssrs.iter().any(super::ssr::Ssr::busy))
         {
-            if self.skip {
-                if let Some(wake) = self.quiescent_wake() {
-                    let target = wake.min(drain_start + DEADLOCK_WINDOW + 1);
-                    if target > self.cycle {
-                        self.skipped_cycles += target - self.cycle;
-                        self.cycle = target;
-                        if self.cycle - drain_start > DEADLOCK_WINDOW {
-                            return Err(RunError::Deadlock {
-                                cycle: self.cycle,
-                                pc: self.stuck_pc(),
-                            });
-                        }
-                        continue;
-                    }
-                }
+            if self.skip_to_wake(deadline, deadline)? {
+                continue;
             }
             self.step_units()?;
-            if self.cycle - drain_start > DEADLOCK_WINDOW {
+            if self.cycle >= deadline {
                 return Err(RunError::Deadlock { cycle: self.cycle, pc: self.stuck_pc() });
             }
         }
         Ok(())
     }
 
+    /// Quiescent skip: when every unit is provably silent, jumps the clock
+    /// straight to the next wake event, at most to `limit`. Returns whether
+    /// the clock moved, or the deadlock error once it reaches `deadline` —
+    /// the clamps that make both watchdogs fire at exactly the cycle a
+    /// force-stepped loop reports.
+    fn skip_to_wake(&mut self, deadline: u64, limit: u64) -> Result<bool, RunError> {
+        if !self.skip {
+            return Ok(false);
+        }
+        let Some(wake) = self.quiescent_wake() else {
+            return Ok(false);
+        };
+        let target = wake.min(limit);
+        if target <= self.cycle {
+            return Ok(false);
+        }
+        self.skipped_cycles += target - self.cycle;
+        self.cycle = target;
+        if self.cycle >= deadline {
+            return Err(RunError::Deadlock { cycle: self.cycle, pc: self.stuck_pc() });
+        }
+        Ok(true)
+    }
+
     /// The single hart a block burst may drive this cycle, or `None` when
-    /// any entry guard fails. The burst replays pre-lowered micro-ops for
-    /// exactly one running hart, so it engages only when every other unit is
-    /// provably a per-cycle no-op: one non-halted hart, every halted hart
-    /// parked (idle FP subsystem, quiescent streamers — the stepper's own
-    /// skip condition), nobody at the barrier, the DMA engine idle, and no
-    /// recording tracer attached (event emission needs the stepper's hooks).
+    /// any entry guard fails. The burst schedules exactly one running hart,
+    /// so it engages only when every other unit is provably a per-cycle
+    /// no-op: one non-halted hart, every halted hart parked (idle FP
+    /// subsystem, quiescent streamers — the stepper's own skip condition),
+    /// nobody at the barrier, the DMA engine idle, and no recording tracer
+    /// attached (the burst omits the stepper's SSR, DMA, bank-conflict and
+    /// barrier-release events).
     fn block_eligible_hart(&self) -> Option<usize> {
         if !self.block
             || self.barrier_waiting_count != 0
@@ -698,9 +695,11 @@ impl Cluster {
         running
     }
 
-    /// Runs `hart` in a burst: the per-cycle loop specialized to one running
-    /// hart and driven by the block cache, with the other units statically
-    /// proven idle by [`block_eligible_hart`](Self::block_eligible_hart).
+    /// Runs `hart` in a burst: the per-cycle loop specialised to one running
+    /// hart, with the other units statically proven idle by
+    /// [`block_eligible_hart`](Self::block_eligible_hart). It issues through
+    /// the same [`IntCore::step`] as the generic loop; only the scheduling
+    /// around it (silent-window jumps, no per-unit scan) differs.
     /// Exits back to the generic loop at halt, DMA activation, a fault, the
     /// timeout boundary, or [`BLOCK_STUCK_EXIT`] progress-free cycles.
     /// Returns whether any cycles elapsed (`false` means the caller must
@@ -721,13 +720,13 @@ impl Cluster {
                 mem,
                 arb,
                 tcdm_dma_accesses,
-                blocks,
+                tracer,
                 profiler,
                 ..
             } = self;
             let CoreUnit { core, fpss, ssrs, l0, stats } = &mut units[hart];
             let hart_u8 = core.hart_id() as u8;
-            let mut no_tracer: Option<Tracer> = None;
+            let mut obs = Observer { stats, tracer, profiler };
             loop {
                 if now >= max_cycles || now - last_progress > BLOCK_STUCK_EXIT {
                     break;
@@ -745,55 +744,20 @@ impl Cluster {
                         .min(last_progress + BLOCK_STUCK_EXIT + 1);
                     continue;
                 }
-                // Pre-lowered pc-relative values assume 4-byte alignment;
-                // a misaligned jump target is the stepper's problem.
-                if core.pc() & 3 != 0 {
-                    break;
-                }
                 arb.begin_cycle();
-                let issued_before = stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles;
+                let issued_before =
+                    obs.stats.int_issued + obs.stats.fp_issued_core + obs.stats.fpu_busy_cycles;
                 if !fp_quiet {
                     fpss.drain_int_writebacks(now, |wb| core.apply_writeback(wb.rd, wb.value, now));
                 }
                 if core.stall_until() <= now {
-                    // A core at the canonical FPU fence with FP work still
-                    // queued (`!fp_quiet` implies `!drained`) can only lose
-                    // the slot to a Fence stall: book the stall directly
-                    // instead of the delegated stepper call. (`x0` carries
-                    // no hazards and the write-back claim prune is lazy.)
-                    let idx = (core.pc().wrapping_sub(snitch_asm::layout::TEXT_BASE) / 4) as usize;
-                    if !fp_quiet
-                        && blocks
-                            .ops()
-                            .get(idx)
-                            .is_some_and(|b| matches!(b.op, crate::block::BlockOp::FenceWait))
-                    {
-                        stats.add_stall(snitch_trace::StallCause::Fence, 1);
-                        if let Some(p) = profiler {
-                            p.stall(hart, core.pc(), snitch_trace::StallCause::Fence, 1);
-                        }
-                    } else {
-                        let r = core.step_block(
-                            now,
-                            cfg,
-                            text,
-                            blocks.ops(),
-                            l0,
-                            mem,
-                            arb,
-                            fpss,
-                            ssrs,
-                            dma,
-                            stats,
-                            profiler,
-                        );
-                        if core.halted() {
-                            new_halts += 1;
-                        }
-                        if let Err(e) = r {
-                            fault = Some(e);
-                            break;
-                        }
+                    let r = core.step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, &mut obs);
+                    if core.halted() {
+                        new_halts += 1;
+                    }
+                    if let Err(e) = r {
+                        fault = Some(e);
+                        break;
                     }
                 }
                 // All other harts are halted, so a barrier arrival releases
@@ -804,17 +768,7 @@ impl Cluster {
                 // Re-checked after the issue: a just-offloaded op must step
                 // this cycle. When still idle, `step` is a pure no-op.
                 if !fpss.idle_now() {
-                    if let Err(e) = fpss.step(
-                        now,
-                        hart_u8,
-                        cfg,
-                        mem,
-                        arb,
-                        ssrs,
-                        stats,
-                        &mut no_tracer,
-                        profiler,
-                    ) {
+                    if let Err(e) = fpss.step(now, hart_u8, cfg, mem, arb, ssrs, &mut obs) {
                         fault = Some(e);
                         break;
                     }
@@ -824,17 +778,17 @@ impl Cluster {
                         continue;
                     }
                     let accesses = ssr.step(mem, arb, TcdmPort::Ssr(hart_u8, i as u8));
-                    stats.tcdm_ssr_accesses += u64::from(accesses);
+                    obs.stats.tcdm_ssr_accesses += u64::from(accesses);
                     if accesses > 0 {
                         last_progress = now + 1;
                     }
                     if ssr.armed() {
-                        stats.ssr_active_cycles[i] += 1;
+                        obs.stats.ssr_active_cycles[i] += 1;
                     }
-                    stats.ssr_beats[i] = ssr.beats();
+                    obs.stats.ssr_beats[i] = ssr.beats();
                 }
                 let mut progressed =
-                    stats.int_issued + stats.fp_issued_core + stats.fpu_busy_cycles
+                    obs.stats.int_issued + obs.stats.fp_issued_core + obs.stats.fpu_busy_cycles
                         != issued_before;
                 let dma_active = !dma.idle();
                 if dma_active {

@@ -13,79 +13,36 @@
 //! * taken branches pay a fixed refill penalty;
 //! * `scfgwi` to a busy streamer stalls until the stream completes, and the
 //!   FPU-fence CSR stalls until the FP subsystem and streamers drain.
+//!
+//! `IntCore::step` is the one issue function: it issues from the text
+//! section lowered at load time (`block.rs`), with one match on the
+//! pre-resolved micro-op. The cluster's all-units stepper and its
+//! single-hart burst loop both call it; CSR, SSR-config and DMA ops are the
+//! only ones matched on their [`Inst`] at issue.
 
-use snitch_profile::Profiler;
 use snitch_riscv::csr::{
     SsrCfgWord, CSR_BARRIER, CSR_CLUSTER_ID, CSR_FPU_FENCE, CSR_MCYCLE, CSR_MHARTID, CSR_MINSTRET,
     CSR_SSR,
 };
 use snitch_riscv::inst::Inst;
-use snitch_riscv::meta::RegRef;
-use snitch_riscv::ops::{CsrOp, DmaOp};
+use snitch_riscv::ops::{CsrOp, DmaOp, LoadOp};
 use snitch_riscv::reg::IntReg;
-use snitch_trace::{EventKind, Lane, StallCause, Tracer};
+use snitch_trace::{EventKind, Lane, StallCause};
 
+use crate::block::{BlockOp, OffloadVal, TextEntry};
 use crate::config::ClusterConfig;
 use crate::dma::Dma;
 use crate::error::SimFault;
 use crate::fpss::{Fpss, OffloadEntry};
 use crate::icache::L0Cache;
 use crate::mem::{Memory, TcdmArbiter, TcdmPort};
+use crate::observe::Observer;
 use crate::ssr::Ssr;
-use crate::stats::Stats;
 use crate::trace_event;
 use snitch_asm::layout;
 
 /// Sentinel `ready_at` for a register awaiting an FP→int write-back.
 const PENDING_FP: u64 = u64::MAX;
-
-/// A pre-decoded instruction with the integer-side metadata the issue stage
-/// needs every cycle.
-#[derive(Clone, Copy, Debug)]
-pub struct Decoded {
-    /// The instruction.
-    pub inst: Inst,
-    /// Integer source registers (at most two).
-    pub int_srcs: [Option<IntReg>; 2],
-    /// Integer destination register, if any.
-    pub int_dst: Option<IntReg>,
-}
-
-impl Decoded {
-    /// Pre-decodes an instruction.
-    #[must_use]
-    pub fn new(inst: Inst) -> Self {
-        let mut int_srcs = [None, None];
-        let mut n = 0;
-        for u in inst.uses() {
-            if let RegRef::Int(r) = u {
-                if !r.is_zero() && n < 2 && !int_srcs.contains(&Some(r)) {
-                    int_srcs[n] = Some(r);
-                    n += 1;
-                }
-            }
-        }
-        let int_dst = inst.defs().into_iter().find_map(|d| match d {
-            RegRef::Int(r) => Some(r),
-            RegRef::Fp(_) => None,
-        });
-        // FP instructions that write the integer RF also define an int reg.
-        let int_dst = int_dst.or(match inst {
-            Inst::FpCmp { rd, .. }
-            | Inst::FpCvtF2I { rd, .. }
-            | Inst::FpMvF2X { rd, .. }
-            | Inst::FpClass { rd, .. } => {
-                if rd.is_zero() {
-                    None
-                } else {
-                    Some(rd)
-                }
-            }
-            _ => None,
-        });
-        Decoded { inst, int_srcs, int_dst }
-    }
-}
 
 /// Progress of a hart through the cluster hardware barrier.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -207,10 +164,7 @@ impl IntCore {
 
     /// Delivers a completed FP→int write-back.
     pub fn apply_writeback(&mut self, rd: IntReg, value: u32, now: u64) {
-        if !rd.is_zero() {
-            self.regs[rd.index() as usize] = value;
-            self.ready_at[rd.index() as usize] = now;
-        }
+        self.write_reg(rd.index(), value, now);
     }
 
     fn can_claim_wb(&self, cycle: u64, ports: u32) -> bool {
@@ -225,59 +179,34 @@ impl IntCore {
         }
     }
 
-    fn write_reg(&mut self, rd: IntReg, value: u32, ready_at: u64) {
-        if !rd.is_zero() {
-            self.regs[rd.index() as usize] = value;
-            self.ready_at[rd.index() as usize] = ready_at;
+    fn write_reg(&mut self, rd: u8, value: u32, ready_at: u64) {
+        if rd != 0 {
+            self.regs[rd as usize] = value;
+            self.ready_at[rd as usize] = ready_at;
         }
     }
 
-    /// Counts a lost issue slot against `cause` and emits the matching
-    /// trace event (both go through the same [`StallCause`], so trace
-    /// attribution can never drift from the counters). `now` is the first
-    /// *lost* cycle: the current cycle for a failed issue attempt, the next
-    /// cycle for a taken branch's refill window (the branch itself issues).
-    /// `pc` is the instruction the cycles are charged to — the current pc
-    /// everywhere except the taken-branch arms, which capture the branch pc
-    /// before redirecting.
-    #[allow(clippy::too_many_arguments)]
-    fn stall(
-        &self,
-        now: u64,
-        pc: u32,
-        cause: StallCause,
-        cycles: u32,
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
-    ) {
-        if cycles == 0 {
-            return;
-        }
-        stats.add_stall(cause, u64::from(cycles));
-        if let Some(p) = profiler {
-            p.stall(self.hart_id as usize, pc, cause, u64::from(cycles));
-        }
-        trace_event!(tracer, now, self.hart_id as u8, EventKind::Stall { cause, cycles });
-    }
-
-    /// One issue attempt. Returns `Err` on machine faults; sets
+    /// One issue attempt. Returns `Err` on machine faults (including an
+    /// attempt at a misaligned pc or a pc outside the text section); sets
     /// [`halted`](Self::halted) on `ecall`.
+    ///
+    /// Marked for inlining, with its charge helpers, into both callers: as
+    /// an out-of-line call with this many arguments it cost the burst loop
+    /// about 5% per simulated cycle.
     #[allow(clippy::too_many_arguments)]
-    pub fn step(
+    #[inline]
+    pub(crate) fn step(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
-        text: &[Decoded],
+        text: &[TextEntry],
         l0: &mut L0Cache,
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         fpss: &mut Fpss,
         ssrs: &mut [Ssr; 3],
         dma: &mut Dma,
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        obs: &mut Observer,
     ) -> Result<(), SimFault> {
         if self.halted {
             return Ok(());
@@ -286,535 +215,30 @@ impl IntCore {
         if self.stall_until > now {
             return Ok(());
         }
+        if self.pc & 3 != 0 {
+            return Err(SimFault::new(format!("misaligned pc {:#010x}", self.pc)));
+        }
         let idx = (self.pc.wrapping_sub(layout::TEXT_BASE) / 4) as usize;
         let Some(d) = text.get(idx) else {
             return Err(SimFault::new(format!("pc {:#010x} outside text section", self.pc)));
         };
-        let d = *d;
 
-        // ---- operand readiness ----
-        for src in d.int_srcs.iter().flatten() {
-            let r = self.ready_at[src.index() as usize];
-            if r > now {
-                let cause =
-                    if r == PENDING_FP { StallCause::FpPending } else { StallCause::IntRaw };
-                self.stall(now, self.pc, cause, 1, stats, tracer, profiler);
-                return Ok(());
-            }
-        }
-        if let Some(rd) = d.int_dst {
-            let r = self.ready_at[rd.index() as usize];
-            if r > now {
-                let cause =
-                    if r == PENDING_FP { StallCause::FpPending } else { StallCause::IntRaw };
-                self.stall(now, self.pc, cause, 1, stats, tracer, profiler);
-                return Ok(());
-            }
-        }
-
-        // ---- FP-domain offload (incl. FREP markers) ----
-        if d.inst.is_fp() || d.inst.is_frep() {
-            if !fpss.can_accept() {
-                self.stall(now, self.pc, StallCause::OffloadFull, 1, stats, tracer, profiler);
-                return Ok(());
-            }
-            let int_val = match d.inst {
-                Inst::Flw { rs1, offset, .. }
-                | Inst::Fld { rs1, offset, .. }
-                | Inst::Fsw { rs1, offset, .. }
-                | Inst::Fsd { rs1, offset, .. } => {
-                    Some(self.regs[rs1.index() as usize].wrapping_add(offset as u32))
-                }
-                Inst::FpCvtI2F { rs1, .. } | Inst::FpMvX2F { rs1, .. } => {
-                    Some(self.regs[rs1.index() as usize])
-                }
-                Inst::FrepO { rep, .. } | Inst::FrepI { rep, .. } => {
-                    Some(self.regs[rep.index() as usize])
-                }
-                _ => None,
-            };
-            if d.inst.fp_writes_int_rf() {
-                if let Some(rd) = d.int_dst {
-                    self.ready_at[rd.index() as usize] = PENDING_FP;
-                }
-            }
-            fpss.offload(OffloadEntry::at(d.inst, int_val, self.pc));
-            self.fetched(now, d.inst, l0, stats, tracer, profiler);
-            if d.inst.is_frep() {
-                stats.int_issued += 1;
-            } else {
-                stats.fp_issued_core += 1;
-            }
-            self.pc = self.pc.wrapping_add(4);
-            return Ok(());
-        }
-
-        // ---- integer-side execution ----
-        match d.inst {
-            Inst::Lui { rd, imm } => {
-                if !self.issue_alu_like(
-                    now, cfg, l0, d.inst, rd, imm as u32, 1, stats, tracer, profiler,
-                ) {
-                    return Ok(());
-                }
-            }
-            Inst::Auipc { rd, imm } => {
-                let v = self.pc.wrapping_add(imm as u32);
-                if !self.issue_alu_like(now, cfg, l0, d.inst, rd, v, 1, stats, tracer, profiler) {
-                    return Ok(());
-                }
-            }
-            Inst::OpImm { op, rd, rs1, imm } => {
-                let v = op.eval(self.regs[rs1.index() as usize], imm);
-                if !self.issue_alu_like(now, cfg, l0, d.inst, rd, v, 1, stats, tracer, profiler) {
-                    return Ok(());
-                }
-            }
-            Inst::OpReg { op, rd, rs1, rs2 } => {
-                let lat = if op.is_div() {
-                    cfg.div_latency
-                } else if op.is_muldiv() {
-                    cfg.mul_latency
-                } else {
-                    1
-                };
-                let v = op.eval(self.regs[rs1.index() as usize], self.regs[rs2.index() as usize]);
-                if !self.issue_alu_like(now, cfg, l0, d.inst, rd, v, lat, stats, tracer, profiler) {
-                    return Ok(());
-                }
-            }
-            Inst::Jal { rd, offset } => {
-                if !rd.is_zero() && !self.can_claim_wb(now + 1, cfg.int_wb_ports) {
-                    self.stall(now, self.pc, StallCause::WbPort, 1, stats, tracer, profiler);
-                    return Ok(());
-                }
-                let link = self.pc.wrapping_add(4);
-                if !rd.is_zero() {
-                    self.claim_wb(now + 1);
-                }
-                self.write_reg(rd, link, now + 1);
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-                let jump_pc = self.pc;
-                self.pc = self.pc.wrapping_add(offset as u32);
-                self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
-                self.stall(
-                    now + 1,
-                    jump_pc,
-                    StallCause::Branch,
-                    cfg.branch_penalty,
-                    stats,
-                    tracer,
-                    profiler,
-                );
-                return Ok(());
-            }
-            Inst::Jalr { rd, rs1, offset } => {
-                if !rd.is_zero() && !self.can_claim_wb(now + 1, cfg.int_wb_ports) {
-                    self.stall(now, self.pc, StallCause::WbPort, 1, stats, tracer, profiler);
-                    return Ok(());
-                }
-                let target = self.regs[rs1.index() as usize].wrapping_add(offset as u32) & !1;
-                let link = self.pc.wrapping_add(4);
-                if !rd.is_zero() {
-                    self.claim_wb(now + 1);
-                }
-                self.write_reg(rd, link, now + 1);
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-                let jump_pc = self.pc;
-                self.pc = target;
-                self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
-                self.stall(
-                    now + 1,
-                    jump_pc,
-                    StallCause::Branch,
-                    cfg.branch_penalty,
-                    stats,
-                    tracer,
-                    profiler,
-                );
-                return Ok(());
-            }
-            Inst::Branch { op, rs1, rs2, offset } => {
-                let taken =
-                    op.taken(self.regs[rs1.index() as usize], self.regs[rs2.index() as usize]);
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-                if taken {
-                    let branch_pc = self.pc;
-                    self.pc = self.pc.wrapping_add(offset as u32);
-                    self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
-                    self.stall(
-                        now + 1,
-                        branch_pc,
-                        StallCause::Branch,
-                        cfg.branch_penalty,
-                        stats,
-                        tracer,
-                        profiler,
-                    );
-                } else {
-                    self.pc = self.pc.wrapping_add(4);
-                }
-                return Ok(());
-            }
-            Inst::Load { op, rd, rs1, offset } => {
-                // Integer loads may not bypass queued FP stores (single-
-                // thread memory ordering; see Fpss::has_pending_stores).
-                if fpss.has_pending_stores() {
-                    self.stall(now, self.pc, StallCause::StoreOrder, 1, stats, tracer, profiler);
-                    return Ok(());
-                }
-                let addr = self.regs[rs1.index() as usize].wrapping_add(offset as u32);
-                let lat = if layout::is_tcdm(addr) {
-                    if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
-                        self.stall(
-                            now,
-                            self.pc,
-                            StallCause::TcdmConflict,
-                            1,
-                            stats,
-                            tracer,
-                            profiler,
-                        );
-                        return Ok(());
-                    }
-                    stats.tcdm_core_accesses += 1;
-                    cfg.load_latency
-                } else if layout::is_main(addr) {
-                    stats.main_mem_accesses += 1;
-                    cfg.load_latency + cfg.main_mem_extra_latency
-                } else {
-                    // Shared L2 or a cluster alias window: interconnect path.
-                    stats.l2_accesses += 1;
-                    cfg.load_latency + cfg.l2_latency
-                };
-                let raw = mem.read(addr, op.size()).map_err(SimFault::from)? as u32;
-                let v = match op {
-                    snitch_riscv::ops::LoadOp::Lb => (raw as i8) as i32 as u32,
-                    snitch_riscv::ops::LoadOp::Lh => (raw as i16) as i32 as u32,
-                    _ => raw,
-                };
-                self.write_reg(rd, v, now + u64::from(lat));
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-            }
-            Inst::Store { op, rs2, rs1, offset } => {
-                let addr = self.regs[rs1.index() as usize].wrapping_add(offset as u32);
-                if layout::is_tcdm(addr) {
-                    if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
-                        self.stall(
-                            now,
-                            self.pc,
-                            StallCause::TcdmConflict,
-                            1,
-                            stats,
-                            tracer,
-                            profiler,
-                        );
-                        return Ok(());
-                    }
-                    stats.tcdm_core_accesses += 1;
-                } else if layout::is_main(addr) {
-                    stats.main_mem_accesses += 1;
-                } else {
-                    stats.l2_accesses += 1;
-                }
-                mem.write(addr, op.size(), u64::from(self.regs[rs2.index() as usize]))
-                    .map_err(SimFault::from)?;
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-            }
-            Inst::Fence => {
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-            }
-            Inst::Ecall | Inst::Ebreak => {
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-                self.halted = true;
-                return Ok(());
-            }
-            Inst::Csr { op, rd, csr, src } => {
-                if !self.issue_csr(
-                    now, cfg, l0, d.inst, op, rd, csr, src, fpss, ssrs, stats, tracer, profiler,
-                ) {
-                    return Ok(());
-                }
-            }
-            Inst::Scfgwi { value, addr } => {
-                let Some((word, i)) = SsrCfgWord::from_addr(addr) else {
-                    return Err(SimFault::new(format!("invalid ssr config address {addr:#x}")));
-                };
-                if ssrs[i].busy() {
-                    self.stall(now, self.pc, StallCause::SsrCfg, 1, stats, tracer, profiler);
-                    return Ok(());
-                }
-                ssrs[i].write_cfg(word, self.regs[value.index() as usize]);
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-            }
-            Inst::Scfgri { rd, addr } => {
-                let Some((word, i)) = SsrCfgWord::from_addr(addr) else {
-                    return Err(SimFault::new(format!("invalid ssr config address {addr:#x}")));
-                };
-                let v = ssrs[i].read_cfg(word);
-                if !self.issue_alu_like(now, cfg, l0, d.inst, rd, v, 1, stats, tracer, profiler) {
-                    return Ok(());
-                }
-            }
-            Inst::Dma { op, rd, rs1, rs2, imm5: _ } => {
-                let a = self.regs[rs1.index() as usize];
-                let b = self.regs[rs2.index() as usize];
-                match op {
-                    DmaOp::Src => dma.set_src(a),
-                    DmaOp::Dst => dma.set_dst(a),
-                    DmaOp::Str => dma.set_strides(a, b),
-                    DmaOp::Rep => dma.set_reps(a),
-                    DmaOp::CpyI => {
-                        let id = dma.start(a);
-                        if !self.issue_alu_like(
-                            now, cfg, l0, d.inst, rd, id, 1, stats, tracer, profiler,
-                        ) {
-                            return Ok(());
-                        }
-                        self.pc = self.pc.wrapping_add(4);
-                        return Ok(());
-                    }
-                    DmaOp::StatI => {
-                        let v = dma.outstanding();
-                        if !self
-                            .issue_alu_like(now, cfg, l0, d.inst, rd, v, 1, stats, tracer, profiler)
-                        {
-                            return Ok(());
-                        }
-                        self.pc = self.pc.wrapping_add(4);
-                        return Ok(());
-                    }
-                }
-                self.fetched(now, d.inst, l0, stats, tracer, profiler);
-                stats.int_issued += 1;
-            }
-            other => {
-                return Err(SimFault::new(format!("unhandled integer instruction `{other}`")));
-            }
-        }
-        self.pc = self.pc.wrapping_add(4);
-        Ok(())
-    }
-
-    /// Issues an ALU-like operation writing `rd` with `latency` on the shared
-    /// write-back port. Returns false (and counts a stall) if the port is
-    /// already claimed for the write-back cycle.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_alu_like(
-        &mut self,
-        now: u64,
-        cfg: &ClusterConfig,
-        l0: &mut L0Cache,
-        inst: Inst,
-        rd: IntReg,
-        value: u32,
-        latency: u32,
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
-    ) -> bool {
-        let wb_cycle = now + u64::from(latency);
-        if !rd.is_zero() {
-            if !self.can_claim_wb(wb_cycle, cfg.int_wb_ports) {
-                self.stall(now, self.pc, StallCause::WbPort, 1, stats, tracer, profiler);
-                return false;
-            }
-            self.claim_wb(wb_cycle);
-        }
-        self.write_reg(rd, value, wb_cycle);
-        self.fetched(now, inst, l0, stats, tracer, profiler);
-        stats.int_issued += 1;
-        true
-    }
-
-    /// Fetch-path accounting; called exactly once per issued instruction, so
-    /// it is also the single issue-event emission site for the core slot —
-    /// and the profiler's core-lane charge point (`self.pc` still addresses
-    /// the issuing instruction here; the advance happens afterwards).
-    fn fetched(
-        &mut self,
-        now: u64,
-        inst: Inst,
-        l0: &mut L0Cache,
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
-    ) {
-        if l0.fetch(self.pc) {
-            stats.l0_hits += 1;
-        } else {
-            stats.l0_misses += 1;
-        }
-        let lane = if inst.is_fp() { Lane::FpCore } else { Lane::Int };
-        if let Some(p) = profiler {
-            p.issue(self.hart_id as usize, self.pc, lane);
-        }
-        trace_event!(
-            tracer,
-            now,
-            self.hart_id as u8,
-            EventKind::Issue { lane, pc: Some(self.pc), inst }
-        );
-    }
-}
-
-impl Default for IntCore {
-    fn default() -> Self {
-        IntCore::new(0)
-    }
-}
-
-impl IntCore {
-    #[allow(clippy::too_many_arguments)]
-    fn issue_csr(
-        &mut self,
-        now: u64,
-        cfg: &ClusterConfig,
-        l0: &mut L0Cache,
-        inst: Inst,
-        op: CsrOp,
-        rd: IntReg,
-        csr: u16,
-        src: u8,
-        fpss: &mut Fpss,
-        ssrs: &mut [Ssr; 3],
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
-    ) -> bool {
-        let old: u32 = match csr {
-            CSR_SSR => u32::from(fpss.ssr_enabled()),
-            CSR_FPU_FENCE => {
-                let drained = fpss.drained(now) && ssrs.iter().all(|s| !s.busy());
-                if !drained {
-                    self.stall(now, self.pc, StallCause::Fence, 1, stats, tracer, profiler);
-                    return false;
-                }
-                0
-            }
-            CSR_BARRIER => match self.barrier {
-                BarrierState::Released => {
-                    // Every hart has arrived; the read completes now.
-                    self.barrier = BarrierState::Idle;
-                    0
-                }
-                BarrierState::Idle | BarrierState::Waiting => {
-                    // Arrive (idempotently) and stall until the cluster
-                    // releases all waiting harts in one cycle.
-                    if self.barrier == BarrierState::Idle {
-                        trace_event!(tracer, now, self.hart_id as u8, EventKind::BarrierArrive);
-                    }
-                    self.barrier = BarrierState::Waiting;
-                    self.stall(now, self.pc, StallCause::Barrier, 1, stats, tracer, profiler);
-                    return false;
-                }
-            },
-            CSR_MHARTID => self.hart_id,
-            CSR_CLUSTER_ID => self.cluster_id,
-            CSR_MCYCLE => now as u32,
-            CSR_MINSTRET => stats.instructions() as u32,
-            _ => 0,
-        };
-        let wmask: Option<u32> = match op {
-            CsrOp::Rw | CsrOp::Rwi => Some(self.src_value(op, src)),
-            CsrOp::Rs | CsrOp::Rsi => {
-                let v = self.src_value(op, src);
-                if v == 0 {
-                    None
-                } else {
-                    Some(old | v)
-                }
-            }
-            CsrOp::Rc | CsrOp::Rci => {
-                let v = self.src_value(op, src);
-                if v == 0 {
-                    None
-                } else {
-                    Some(old & !v)
-                }
-            }
-        };
-        if let Some(new) = wmask {
-            if csr == CSR_SSR {
-                fpss.set_ssr_enabled(new & 1 != 0);
-            }
-            // Other CSRs are read-only or scratch in this model.
-        }
-        self.issue_alu_like(now, cfg, l0, inst, rd, old, 1, stats, tracer, profiler)
-    }
-
-    fn src_value(&self, op: CsrOp, src: u8) -> u32 {
-        if op.is_imm() {
-            u32::from(src)
-        } else {
-            self.regs[usize::from(src)]
-        }
-    }
-}
-
-/// The block-compiled issue path. Each method here is a semantically exact
-/// mirror of its counterpart in [`step`](IntCore::step) with no tracer
-/// attached — same hazard scan order, same stall causes and counts, same
-/// write-back port claims, same pc updates — but driven by pre-lowered
-/// [`BlockInst`] micro-ops instead of re-matching [`Inst`] every cycle.
-/// The differential suite in `tests/block_compile.rs` pins the equivalence.
-impl IntCore {
-    /// One issue attempt on the fast path. Callers guarantee the core is
-    /// not halted and not inside a `stall_until` window.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_block(
-        &mut self,
-        now: u64,
-        cfg: &ClusterConfig,
-        text: &[Decoded],
-        blocks: &[crate::block::BlockInst],
-        l0: &mut L0Cache,
-        mem: &mut Memory,
-        arb: &mut TcdmArbiter,
-        fpss: &mut Fpss,
-        ssrs: &mut [Ssr; 3],
-        dma: &mut Dma,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
-    ) -> Result<(), SimFault> {
-        use crate::block::{BlockOp, OffloadVal};
-        debug_assert!(!self.halted && self.stall_until <= now);
-        let idx = (self.pc.wrapping_sub(layout::TEXT_BASE) / 4) as usize;
-        let Some(b) = blocks.get(idx) else {
-            return Err(SimFault::new(format!("pc {:#010x} outside text section", self.pc)));
-        };
-        let b = *b;
-        // CSR (barrier, fences, SSR enable), SSR-config and DMA micro-ops
-        // keep their stateful semantics by delegating to the reference
-        // stepper, which redoes its own housekeeping and hazard scan.
-        if matches!(b.op, BlockOp::Generic | BlockOp::FenceWait) {
-            return self
-                .step(now, cfg, text, l0, mem, arb, fpss, ssrs, dma, stats, &mut None, profiler);
-        }
-        self.wb_claims.retain(|&(c, _)| c >= now);
-        // Operand scoreboard scan in the stepper's order: sources, then the
-        // destination. Index 0 is x0, whose slot is always ready.
-        for r in [b.srcs[0], b.srcs[1], b.dst] {
+        // Operand scoreboard: sources, then the destination. Index 0 is x0,
+        // whose slot is always ready.
+        for r in [d.srcs[0], d.srcs[1], d.dst] {
             let ready = self.ready_at[r as usize];
             if ready > now {
                 let cause =
                     if ready == PENDING_FP { StallCause::FpPending } else { StallCause::IntRaw };
-                self.charge_stall_fast(cause, 1, stats, profiler);
+                self.stall(now, cause, obs);
                 return Ok(());
             }
         }
-        match b.op {
+
+        match d.op {
             BlockOp::Offload { val, meta, is_frep, writes_int_rf } => {
                 if !fpss.can_accept() {
-                    self.charge_stall_fast(StallCause::OffloadFull, 1, stats, profiler);
+                    self.stall(now, StallCause::OffloadFull, obs);
                     return Ok(());
                 }
                 let int_val = match val {
@@ -824,263 +248,320 @@ impl IntCore {
                     }
                     OffloadVal::Reg { rs1 } => Some(self.regs[rs1 as usize]),
                 };
-                if writes_int_rf && b.dst != 0 {
-                    self.ready_at[b.dst as usize] = PENDING_FP;
+                if writes_int_rf && d.dst != 0 {
+                    self.ready_at[d.dst as usize] = PENDING_FP;
                 }
-                fpss.offload(OffloadEntry::with_meta(text[idx].inst, int_val, meta, self.pc));
+                fpss.offload(OffloadEntry::with_meta(d.inst, int_val, meta, self.pc));
                 let lane = if is_frep { Lane::Int } else { Lane::FpCore };
-                self.fetched_fast(l0, stats, profiler, lane);
-                if is_frep {
-                    stats.int_issued += 1;
-                } else {
-                    stats.fp_issued_core += 1;
-                }
+                self.fetched(now, d.inst, lane, l0, obs);
             }
             BlockOp::Lui { value } | BlockOp::Auipc { value } => {
-                if !self.issue_alu_fast(now, cfg, l0, b.dst, value, 1, stats, profiler) {
+                if !self.issue_alu(now, cfg, l0, d, value, 1, obs) {
                     return Ok(());
                 }
             }
             BlockOp::AluImm { op, rs1, imm } => {
                 let v = op.eval(self.regs[rs1 as usize], imm);
-                if !self.issue_alu_fast(now, cfg, l0, b.dst, v, 1, stats, profiler) {
+                if !self.issue_alu(now, cfg, l0, d, v, 1, obs) {
                     return Ok(());
                 }
             }
             BlockOp::AluReg { op, rs1, rs2, latency } => {
                 let v = op.eval(self.regs[rs1 as usize], self.regs[rs2 as usize]);
-                if !self.issue_alu_fast(now, cfg, l0, b.dst, v, latency, stats, profiler) {
+                if !self.issue_alu(now, cfg, l0, d, v, latency, obs) {
                     return Ok(());
                 }
             }
             BlockOp::Jal { target } => {
-                self.jump_fast(now, cfg, l0, b.dst, target, stats, profiler);
+                self.jump(now, cfg, l0, d, target, obs);
                 return Ok(());
             }
             BlockOp::Jalr { rs1, offset } => {
                 // Target from the *old* rs1 (rd may alias rs1).
                 let target = self.regs[rs1 as usize].wrapping_add(offset as u32) & !1;
-                self.jump_fast(now, cfg, l0, b.dst, target, stats, profiler);
+                self.jump(now, cfg, l0, d, target, obs);
                 return Ok(());
             }
             BlockOp::Branch { op, rs1, rs2, taken_pc } => {
                 let taken = op.taken(self.regs[rs1 as usize], self.regs[rs2 as usize]);
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
+                self.fetched(now, d.inst, Lane::Int, l0, obs);
                 if taken {
-                    self.charge_stall_fast(StallCause::Branch, cfg.branch_penalty, stats, profiler);
-                    self.pc = taken_pc;
-                    self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
+                    self.redirect(now, cfg, taken_pc, obs);
                 } else {
                     self.pc = self.pc.wrapping_add(4);
                 }
                 return Ok(());
             }
             BlockOp::Load { op, rs1, offset } => {
+                // Integer loads may not bypass queued FP stores (single-
+                // thread memory ordering; see Fpss::has_pending_stores).
                 if fpss.has_pending_stores() {
-                    self.charge_stall_fast(StallCause::StoreOrder, 1, stats, profiler);
+                    self.stall(now, StallCause::StoreOrder, obs);
                     return Ok(());
                 }
                 let addr = self.regs[rs1 as usize].wrapping_add(offset as u32);
                 let lat = if layout::is_tcdm(addr) {
                     if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
-                        self.charge_stall_fast(StallCause::TcdmConflict, 1, stats, profiler);
+                        self.stall(now, StallCause::TcdmConflict, obs);
                         return Ok(());
                     }
-                    stats.tcdm_core_accesses += 1;
+                    obs.stats.tcdm_core_accesses += 1;
                     cfg.load_latency
                 } else if layout::is_main(addr) {
-                    stats.main_mem_accesses += 1;
+                    obs.stats.main_mem_accesses += 1;
                     cfg.load_latency + cfg.main_mem_extra_latency
                 } else {
                     // Shared L2 or a cluster alias window: interconnect path.
-                    stats.l2_accesses += 1;
+                    obs.stats.l2_accesses += 1;
                     cfg.load_latency + cfg.l2_latency
                 };
                 let raw = mem.read(addr, op.size()).map_err(SimFault::from)? as u32;
                 let v = match op {
-                    snitch_riscv::ops::LoadOp::Lb => (raw as i8) as i32 as u32,
-                    snitch_riscv::ops::LoadOp::Lh => (raw as i16) as i32 as u32,
+                    LoadOp::Lb => (raw as i8) as i32 as u32,
+                    LoadOp::Lh => (raw as i16) as i32 as u32,
                     _ => raw,
                 };
-                if b.dst != 0 {
-                    self.regs[b.dst as usize] = v;
-                    self.ready_at[b.dst as usize] = now + u64::from(lat);
-                }
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
+                self.write_reg(d.dst, v, now + u64::from(lat));
+                self.fetched(now, d.inst, Lane::Int, l0, obs);
             }
             BlockOp::Store { op, rs1, rs2, offset } => {
                 let addr = self.regs[rs1 as usize].wrapping_add(offset as u32);
                 if layout::is_tcdm(addr) {
                     if !arb.request(TcdmPort::CoreLsu(self.hart_id as u8), addr) {
-                        self.charge_stall_fast(StallCause::TcdmConflict, 1, stats, profiler);
+                        self.stall(now, StallCause::TcdmConflict, obs);
                         return Ok(());
                     }
-                    stats.tcdm_core_accesses += 1;
+                    obs.stats.tcdm_core_accesses += 1;
                 } else if layout::is_main(addr) {
-                    stats.main_mem_accesses += 1;
+                    obs.stats.main_mem_accesses += 1;
                 } else {
-                    stats.l2_accesses += 1;
+                    obs.stats.l2_accesses += 1;
                 }
                 mem.write(addr, op.size(), u64::from(self.regs[rs2 as usize]))
                     .map_err(SimFault::from)?;
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
+                self.fetched(now, d.inst, Lane::Int, l0, obs);
             }
-            BlockOp::Fence => {
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
-            }
+            BlockOp::Fence => self.fetched(now, d.inst, Lane::Int, l0, obs),
             BlockOp::Ecall => {
-                self.fetched_fast(l0, stats, profiler, Lane::Int);
-                stats.int_issued += 1;
+                self.fetched(now, d.inst, Lane::Int, l0, obs);
                 self.halted = true;
                 return Ok(());
             }
-            BlockOp::Generic | BlockOp::FenceWait => {
-                unreachable!("dispatched to the stepper above")
+            BlockOp::FenceWait => {
+                if !fpss.drained(now) || ssrs.iter().any(Ssr::busy) {
+                    self.stall(now, StallCause::Fence, obs);
+                    return Ok(());
+                }
+                self.fetched(now, d.inst, Lane::Int, l0, obs);
+            }
+            BlockOp::Generic => {
+                if !self.issue_generic(now, cfg, l0, d, fpss, ssrs, dma, obs)? {
+                    return Ok(());
+                }
             }
         }
         self.pc = self.pc.wrapping_add(4);
         Ok(())
     }
 
-    /// [`stall`](IntCore::stall) without the tracer hook: books the cycles
-    /// against the counter and the profiler at the current pc (callers
-    /// charge *before* any redirect, so taken branches bill their own pc).
-    fn charge_stall_fast(
-        &self,
-        cause: StallCause,
-        cycles: u32,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
-    ) {
-        if cycles == 0 {
-            return;
-        }
-        stats.add_stall(cause, u64::from(cycles));
-        if let Some(p) = profiler {
-            p.stall(self.hart_id as usize, self.pc, cause, u64::from(cycles));
-        }
+    /// Loses this cycle's issue slot to `cause`, charged to the current pc.
+    #[inline]
+    fn stall(&self, now: u64, cause: StallCause, obs: &mut Observer) {
+        obs.stall(now, self.hart_id as u8, self.pc, cause, 1);
     }
 
-    /// `jal`/`jalr` tail: link write on the shared port, redirect, refill
-    /// penalty (mirrors the stepper's two jump arms).
-    #[allow(clippy::too_many_arguments)]
-    fn jump_fast(
-        &mut self,
-        now: u64,
-        cfg: &ClusterConfig,
-        l0: &mut L0Cache,
-        dst: u8,
-        target: u32,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
-    ) {
-        if dst != 0 {
-            if !self.can_claim_wb(now + 1, cfg.int_wb_ports) {
-                self.charge_stall_fast(StallCause::WbPort, 1, stats, profiler);
-                return;
-            }
-            self.claim_wb(now + 1);
-            self.regs[dst as usize] = self.pc.wrapping_add(4);
-            self.ready_at[dst as usize] = now + 1;
-        }
-        self.fetched_fast(l0, stats, profiler, Lane::Int);
-        stats.int_issued += 1;
-        self.charge_stall_fast(StallCause::Branch, cfg.branch_penalty, stats, profiler);
+    /// A taken control transfer: the refill window after this cycle is
+    /// charged to the transferring instruction (the current pc), then the
+    /// core redirects to `target` and stays silent until the window ends.
+    fn redirect(&mut self, now: u64, cfg: &ClusterConfig, target: u32, obs: &mut Observer) {
+        obs.stall(now + 1, self.hart_id as u8, self.pc, StallCause::Branch, cfg.branch_penalty);
         self.pc = target;
         self.stall_until = now + 1 + u64::from(cfg.branch_penalty);
     }
 
-    /// [`issue_alu_like`](IntCore::issue_alu_like) without the tracer hook.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_alu_fast(
+    /// `jal`/`jalr`: link write on the shared port, then the redirect.
+    fn jump(
         &mut self,
         now: u64,
         cfg: &ClusterConfig,
         l0: &mut L0Cache,
-        dst: u8,
+        d: &TextEntry,
+        target: u32,
+        obs: &mut Observer,
+    ) {
+        let link = self.pc.wrapping_add(4);
+        if self.issue_alu(now, cfg, l0, d, link, 1, obs) {
+            self.redirect(now, cfg, target, obs);
+        }
+    }
+
+    /// Issues an ALU-like operation writing `d.dst` with `latency` on the
+    /// shared write-back port. Returns false (and counts a stall) if the
+    /// port is already claimed for the write-back cycle.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn issue_alu(
+        &mut self,
+        now: u64,
+        cfg: &ClusterConfig,
+        l0: &mut L0Cache,
+        d: &TextEntry,
         value: u32,
         latency: u32,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
+        obs: &mut Observer,
     ) -> bool {
         let wb_cycle = now + u64::from(latency);
-        if dst != 0 {
+        if d.dst != 0 {
             if !self.can_claim_wb(wb_cycle, cfg.int_wb_ports) {
-                self.charge_stall_fast(StallCause::WbPort, 1, stats, profiler);
+                self.stall(now, StallCause::WbPort, obs);
                 return false;
             }
             self.claim_wb(wb_cycle);
-            self.regs[dst as usize] = value;
-            self.ready_at[dst as usize] = wb_cycle;
         }
-        self.fetched_fast(l0, stats, profiler, Lane::Int);
-        stats.int_issued += 1;
+        self.write_reg(d.dst, value, wb_cycle);
+        self.fetched(now, d.inst, Lane::Int, l0, obs);
         true
     }
 
-    /// [`fetched`](IntCore::fetched) without the issue-event emission (the
-    /// fast path never runs with a recording tracer; the profiler hook
-    /// stays engaged).
-    fn fetched_fast(
-        &mut self,
-        l0: &mut L0Cache,
-        stats: &mut Stats,
-        profiler: &mut Option<Profiler>,
-        lane: Lane,
-    ) {
+    /// Fetch-path accounting and the issue charge; called exactly once per
+    /// issued instruction, while `self.pc` still addresses it.
+    #[inline]
+    fn fetched(&mut self, now: u64, inst: Inst, lane: Lane, l0: &mut L0Cache, obs: &mut Observer) {
         if l0.fetch(self.pc) {
-            stats.l0_hits += 1;
+            obs.stats.l0_hits += 1;
         } else {
-            stats.l0_misses += 1;
+            obs.stats.l0_misses += 1;
         }
-        if let Some(p) = profiler {
-            p.issue(self.hart_id as usize, self.pc, lane);
-        }
+        obs.issue(now, self.hart_id as u8, self.pc, lane, inst);
+    }
+
+    /// The ops whose semantics depend on cluster state machines: CSRs
+    /// (barrier, FPU fence, SSR enable, counters), SSR configuration and
+    /// DMA commands. Returns whether the op issued.
+    #[allow(clippy::too_many_arguments)]
+    fn issue_generic(
+        &mut self,
+        now: u64,
+        cfg: &ClusterConfig,
+        l0: &mut L0Cache,
+        d: &TextEntry,
+        fpss: &mut Fpss,
+        ssrs: &mut [Ssr; 3],
+        dma: &mut Dma,
+        obs: &mut Observer,
+    ) -> Result<bool, SimFault> {
+        let value = match d.inst {
+            Inst::Csr { op, csr, src, .. } => {
+                let Some(old) = self.read_csr(now, csr, fpss, ssrs, obs) else {
+                    return Ok(false);
+                };
+                let v = if op.is_imm() { u32::from(src) } else { self.regs[usize::from(src)] };
+                let new = match op {
+                    CsrOp::Rw | CsrOp::Rwi => Some(v),
+                    CsrOp::Rs | CsrOp::Rsi => (v != 0).then_some(old | v),
+                    CsrOp::Rc | CsrOp::Rci => (v != 0).then_some(old & !v),
+                };
+                // Other CSRs are read-only or scratch in this model.
+                if let (Some(new), CSR_SSR) = (new, csr) {
+                    fpss.set_ssr_enabled(new & 1 != 0);
+                }
+                old
+            }
+            Inst::Scfgwi { value, addr } => {
+                let (word, i) = ssr_cfg(addr)?;
+                if ssrs[i].busy() {
+                    self.stall(now, StallCause::SsrCfg, obs);
+                    return Ok(false);
+                }
+                ssrs[i].write_cfg(word, self.regs[value.index() as usize]);
+                0
+            }
+            Inst::Scfgri { addr, .. } => {
+                let (word, i) = ssr_cfg(addr)?;
+                ssrs[i].read_cfg(word)
+            }
+            Inst::Dma { op, rs1, rs2, .. } => {
+                let a = self.regs[rs1.index() as usize];
+                let b = self.regs[rs2.index() as usize];
+                // The configuration ops write no register (`d.dst` is 0).
+                match op {
+                    DmaOp::Src => dma.set_src(a),
+                    DmaOp::Dst => dma.set_dst(a),
+                    DmaOp::Str => dma.set_strides(a, b),
+                    DmaOp::Rep => dma.set_reps(a),
+                    DmaOp::CpyI => {
+                        return Ok(self.issue_alu(now, cfg, l0, d, dma.start(a), 1, obs))
+                    }
+                    DmaOp::StatI => {}
+                }
+                dma.outstanding()
+            }
+            other => {
+                return Err(SimFault::new(format!("unhandled integer instruction `{other}`")));
+            }
+        };
+        Ok(self.issue_alu(now, cfg, l0, d, value, 1, obs))
+    }
+
+    /// The value a CSR read returns this cycle, or `None` when the read
+    /// stalls (the FPU fence before the drain, the barrier before release).
+    fn read_csr(
+        &mut self,
+        now: u64,
+        csr: u16,
+        fpss: &Fpss,
+        ssrs: &[Ssr; 3],
+        obs: &mut Observer,
+    ) -> Option<u32> {
+        Some(match csr {
+            CSR_SSR => u32::from(fpss.ssr_enabled()),
+            CSR_FPU_FENCE => {
+                if !fpss.drained(now) || ssrs.iter().any(Ssr::busy) {
+                    self.stall(now, StallCause::Fence, obs);
+                    return None;
+                }
+                0
+            }
+            CSR_BARRIER => {
+                if self.barrier == BarrierState::Released {
+                    // Every hart has arrived; the read completes now.
+                    self.barrier = BarrierState::Idle;
+                    0
+                } else {
+                    // Arrive (idempotently) and stall until the cluster
+                    // releases all waiting harts in one cycle.
+                    if self.barrier == BarrierState::Idle {
+                        trace_event!(obs.tracer, now, self.hart_id as u8, EventKind::BarrierArrive);
+                    }
+                    self.barrier = BarrierState::Waiting;
+                    self.stall(now, StallCause::Barrier, obs);
+                    return None;
+                }
+            }
+            CSR_MHARTID => self.hart_id,
+            CSR_CLUSTER_ID => self.cluster_id,
+            CSR_MCYCLE => now as u32,
+            CSR_MINSTRET => obs.stats.instructions() as u32,
+            _ => 0,
+        })
+    }
+}
+
+/// Decodes an SSR configuration address.
+fn ssr_cfg(addr: u16) -> Result<(SsrCfgWord, usize), SimFault> {
+    SsrCfgWord::from_addr(addr)
+        .ok_or_else(|| SimFault::new(format!("invalid ssr config address {addr:#x}")))
+}
+
+impl Default for IntCore {
+    fn default() -> Self {
+        IntCore::new(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snitch_riscv::ops::{AluImmOp, AluOp};
-
-    #[test]
-    fn decoded_extracts_int_metadata() {
-        let d = Decoded::new(Inst::OpReg {
-            op: AluOp::Add,
-            rd: IntReg::A0,
-            rs1: IntReg::A1,
-            rs2: IntReg::A2,
-        });
-        assert_eq!(d.int_srcs, [Some(IntReg::A1), Some(IntReg::A2)]);
-        assert_eq!(d.int_dst, Some(IntReg::A0));
-
-        // Duplicate sources collapse; x0 is ignored.
-        let d = Decoded::new(Inst::OpReg {
-            op: AluOp::Add,
-            rd: IntReg::ZERO,
-            rs1: IntReg::A1,
-            rs2: IntReg::A1,
-        });
-        assert_eq!(d.int_srcs, [Some(IntReg::A1), None]);
-        assert_eq!(d.int_dst, None);
-    }
-
-    #[test]
-    fn decoded_flags_fp_to_int_destinations() {
-        let d = Decoded::new(Inst::FpCmp {
-            op: snitch_riscv::ops::FpCmpOp::Lt,
-            fmt: snitch_riscv::ops::FpFmt::D,
-            rd: IntReg::A0,
-            rs1: snitch_riscv::reg::FpReg::FA0,
-            rs2: snitch_riscv::reg::FpReg::FA1,
-        });
-        assert_eq!(d.int_dst, Some(IntReg::A0));
-    }
 
     #[test]
     fn wb_port_claims() {
@@ -1090,16 +571,5 @@ mod tests {
         assert!(!c.can_claim_wb(5, 1));
         assert!(c.can_claim_wb(5, 2));
         assert!(c.can_claim_wb(6, 1));
-    }
-
-    #[test]
-    fn decoded_addi_sources() {
-        let d = Decoded::new(Inst::OpImm {
-            op: AluImmOp::Addi,
-            rd: IntReg::A0,
-            rs1: IntReg::ZERO,
-            imm: 5,
-        });
-        assert_eq!(d.int_srcs, [None, None]);
     }
 }

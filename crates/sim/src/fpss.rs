@@ -14,39 +14,19 @@
 
 use std::collections::VecDeque;
 
-use snitch_profile::Profiler;
 use snitch_riscv::inst::Inst;
 use snitch_riscv::meta::InstClass;
 use snitch_riscv::ops::{f64_to_i32, f64_to_u32, FpAluOp, FpCmpOp, FpFmt, IntCvt, SgnjOp};
 use snitch_riscv::reg::{FpReg, IntReg};
-use snitch_trace::{EventKind, Lane, StallCause, Tracer};
+use snitch_trace::{EventKind, Lane, StallCause};
 
 use crate::config::ClusterConfig;
 use crate::error::SimFault;
 use crate::mem::{Memory, TcdmArbiter};
+use crate::observe::Observer;
 use crate::ssr::Ssr;
-use crate::stats::Stats;
 use crate::trace_event;
 use snitch_asm::layout;
-
-/// Counts a lost FPU issue slot against the blocked instruction's issue pc
-/// and emits the matching trace event.
-#[allow(clippy::too_many_arguments)]
-fn fpu_stall(
-    now: u64,
-    hart: u8,
-    pc: u32,
-    cause: StallCause,
-    stats: &mut Stats,
-    tracer: &mut Option<Tracer>,
-    profiler: &mut Option<Profiler>,
-) {
-    stats.add_stall(cause, 1);
-    if let Some(p) = profiler {
-        p.stall(usize::from(hart), pc, cause, 1);
-    }
-    trace_event!(tracer, now, hart, EventKind::Stall { cause, cycles: 1 });
-}
 
 /// Register-index sentinel in [`FpMeta`]: no register in this slot.
 const NO_REG: u8 = 0xFF;
@@ -55,8 +35,8 @@ const NO_REG: u8 = 0xFF;
 /// indices and the resource class, extracted from the [`Inst`] once when the
 /// [`OffloadEntry`] is built so the per-cycle issue path (which runs again
 /// on every stall retry and every sequencer replay) never re-matches the
-/// instruction encoding. The block cache precomputes it per pc so the burst
-/// offload path skips even that one-time extraction.
+/// instruction encoding. The lowered text table precomputes it per pc, so
+/// the core's offload path skips even that one-time extraction.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FpMeta {
     /// FP source register indices in operand order ([`NO_REG`] = empty slot).
@@ -108,13 +88,9 @@ impl OffloadEntry {
         OffloadEntry { inst, int_val, meta: FpMeta::of(&inst), pc: 0 }
     }
 
-    /// [`new`](Self::new) with the issue pc attached (the core's path).
-    pub(crate) fn at(inst: Inst, int_val: Option<u32>, pc: u32) -> Self {
-        OffloadEntry { inst, int_val, meta: FpMeta::of(&inst), pc }
-    }
-
     /// Builds an offload entry from metadata already extracted for this
-    /// exact instruction (the block cache's per-pc copy).
+    /// exact instruction (the lowered text table's per-pc copy), with the
+    /// issue pc attached (the core's path).
     pub(crate) fn with_meta(inst: Inst, int_val: Option<u32>, meta: FpMeta, pc: u32) -> Self {
         OffloadEntry { inst, int_val, meta, pc }
     }
@@ -291,7 +267,7 @@ impl Fpss {
     }
 
     /// Whether the subsystem has nothing queued and nothing in flight to
-    /// deliver — a cycle of [`step`](Self::step) would be a pure no-op.
+    /// deliver — a cycle of `step` would be a pure no-op.
     /// Unlike [`drained`](Self::drained), in-flight latency (`busy_until`)
     /// does not matter here: it produces no action by itself.
     #[must_use]
@@ -335,7 +311,7 @@ impl Fpss {
     /// Returns a [`SimFault`] on malformed programs (FREP body overflow or
     /// non-FP instructions inside a capture) and on memory faults.
     #[allow(clippy::too_many_arguments)]
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         now: u64,
         hart: u8,
@@ -343,9 +319,7 @@ impl Fpss {
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        obs: &mut Observer,
     ) -> Result<(), SimFault> {
         // Deliver FPU results into SSR write FIFOs.
         let mut idx = 0;
@@ -359,7 +333,7 @@ impl Fpss {
         }
 
         if matches!(self.seq, SeqState::Replay { .. }) {
-            stats.seq_active_cycles += 1;
+            obs.stats.seq_active_cycles += 1;
         }
 
         match self.seq {
@@ -392,60 +366,24 @@ impl Fpss {
                             stagger_mask,
                             inst_major,
                         };
-                        return self
-                            .step_capture(now, hart, cfg, mem, arb, ssrs, stats, tracer, profiler);
+                        return self.step_capture(now, hart, cfg, mem, arb, ssrs, obs);
                     }
-                    if self.try_issue(
-                        &front,
-                        Lane::FpCore,
-                        now,
-                        hart,
-                        cfg,
-                        mem,
-                        arb,
-                        ssrs,
-                        stats,
-                        tracer,
-                        profiler,
-                    )? {
+                    if self.try_issue(&front, Lane::FpCore, now, hart, cfg, mem, arb, ssrs, obs)? {
                         self.fifo.pop_front();
-                        stats.fpu_busy_cycles += 1;
+                        obs.stats.fpu_busy_cycles += 1;
                     }
                 }
                 Ok(())
             }
-            SeqState::Capture { .. } => {
-                self.step_capture(now, hart, cfg, mem, arb, ssrs, stats, tracer, profiler)
-            }
+            SeqState::Capture { .. } => self.step_capture(now, hart, cfg, mem, arb, ssrs, obs),
             SeqState::Replay { iter, total, pos, stagger_max, stagger_mask, inst_major } => {
                 let mut staggered = self.ring[pos];
                 let offset =
                     if stagger_max == 0 { 0 } else { (iter % (u32::from(stagger_max) + 1)) as u8 };
                 stagger_entry(&mut staggered, stagger_mask, offset);
-                if self.try_issue(
-                    &staggered,
-                    Lane::FpSeq,
-                    now,
-                    hart,
-                    cfg,
-                    mem,
-                    arb,
-                    ssrs,
-                    stats,
-                    tracer,
-                    profiler,
-                )? {
-                    stats.fp_issued_seq += 1;
-                    stats.fpu_busy_cycles += 1;
-                    if let Some(p) = profiler {
-                        p.issue(usize::from(hart), staggered.pc, Lane::FpSeq);
-                    }
-                    trace_event!(
-                        tracer,
-                        now,
-                        hart,
-                        EventKind::Issue { lane: Lane::FpSeq, pc: None, inst: staggered.inst }
-                    );
+                if self.try_issue(&staggered, Lane::FpSeq, now, hart, cfg, mem, arb, ssrs, obs)? {
+                    obs.stats.fpu_busy_cycles += 1;
+                    obs.issue(now, hart, staggered.pc, Lane::FpSeq, staggered.inst);
                     // Advance: sequence-major (frep.o) wraps positions per
                     // iteration; instruction-major (frep.i) exhausts each
                     // instruction's repetitions before moving on. Note the
@@ -499,9 +437,7 @@ impl Fpss {
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        obs: &mut Observer,
     ) -> Result<(), SimFault> {
         let SeqState::Capture { remaining, rep, stagger_max, stagger_mask, inst_major } = self.seq
         else {
@@ -516,21 +452,9 @@ impl Fpss {
                 front.inst
             )));
         }
-        if self.try_issue(
-            &front,
-            Lane::FpCore,
-            now,
-            hart,
-            cfg,
-            mem,
-            arb,
-            ssrs,
-            stats,
-            tracer,
-            profiler,
-        )? {
+        if self.try_issue(&front, Lane::FpCore, now, hart, cfg, mem, arb, ssrs, obs)? {
             self.fifo.pop_front();
-            stats.fpu_busy_cycles += 1;
+            obs.stats.fpu_busy_cycles += 1;
             self.ring.push(front);
             let remaining = remaining - 1;
             if remaining == 0 {
@@ -569,9 +493,7 @@ impl Fpss {
         mem: &mut Memory,
         arb: &mut TcdmArbiter,
         ssrs: &mut [Ssr; 3],
-        stats: &mut Stats,
-        tracer: &mut Option<Tracer>,
-        profiler: &mut Option<Profiler>,
+        obs: &mut Observer,
     ) -> Result<bool, SimFault> {
         let inst = entry.inst;
         let meta = entry.meta;
@@ -588,14 +510,14 @@ impl Fpss {
             if ssr_on && s < 3 {
                 pops_needed[s as usize] += 1;
             } else if self.ready_at[s as usize] > now {
-                fpu_stall(now, hart, entry.pc, StallCause::FpuRaw, stats, tracer, profiler);
+                obs.stall(now, hart, entry.pc, StallCause::FpuRaw, 1);
                 return Ok(false);
             }
         }
         if ssr_on {
             for (i, &needed) in pops_needed.iter().enumerate() {
                 if needed > 0 && ssrs[i].available_elements() < needed {
-                    fpu_stall(now, hart, entry.pc, StallCause::FpuSsr, stats, tracer, profiler);
+                    obs.stall(now, hart, entry.pc, StallCause::FpuSsr, 1);
                     return Ok(false);
                 }
             }
@@ -603,17 +525,17 @@ impl Fpss {
         if meta.dst != NO_REG {
             if ssr_on && meta.dst < 3 {
                 if !ssrs[meta.dst as usize].write_ready() {
-                    fpu_stall(now, hart, entry.pc, StallCause::FpuSsr, stats, tracer, profiler);
+                    obs.stall(now, hart, entry.pc, StallCause::FpuSsr, 1);
                     return Ok(false);
                 }
             } else if self.ready_at[meta.dst as usize] > now {
-                fpu_stall(now, hart, entry.pc, StallCause::FpuRaw, stats, tracer, profiler);
+                obs.stall(now, hart, entry.pc, StallCause::FpuRaw, 1);
                 return Ok(false);
             }
         }
         let class = meta.class;
         if class == InstClass::FpDivSqrt && self.divsqrt_busy_until > now {
-            fpu_stall(now, hart, entry.pc, StallCause::FpuRaw, stats, tracer, profiler);
+            obs.stall(now, hart, entry.pc, StallCause::FpuRaw, 1);
             return Ok(false);
         }
         // Memory operations arbitrate last (a grant must not be wasted).
@@ -621,38 +543,38 @@ impl Fpss {
             let addr = entry.int_val.expect("fp load/store carries its address");
             if layout::is_tcdm(addr) {
                 if !arb.request(crate::mem::TcdmPort::FpLsu(hart), addr) {
-                    fpu_stall(now, hart, entry.pc, StallCause::FpuTcdm, stats, tracer, profiler);
+                    obs.stall(now, hart, entry.pc, StallCause::FpuTcdm, 1);
                     return Ok(false);
                 }
-                stats.tcdm_fp_accesses += 1;
+                obs.stats.tcdm_fp_accesses += 1;
             } else if layout::is_main(addr) {
-                stats.main_mem_accesses += 1;
+                obs.stats.main_mem_accesses += 1;
             } else {
-                stats.l2_accesses += 1;
+                obs.stats.l2_accesses += 1;
             }
         }
 
         // --- execute (latency lookup and op counter in one dispatch) ---
         let latency = match class {
             InstClass::FpMulAdd => {
-                stats.fpu_muladd_ops += 1;
+                obs.stats.fpu_muladd_ops += 1;
                 cfg.fpu_lat_muladd
             }
             InstClass::FpShort => {
-                stats.fpu_short_ops += 1;
+                obs.stats.fpu_short_ops += 1;
                 cfg.fpu_lat_short
             }
             InstClass::FpCvt => {
-                stats.fpu_cvt_ops += 1;
+                obs.stats.fpu_cvt_ops += 1;
                 cfg.fpu_lat_cvt
             }
             InstClass::FpDivSqrt => {
-                stats.fpu_divsqrt_ops += 1;
+                obs.stats.fpu_divsqrt_ops += 1;
                 self.divsqrt_busy_until = now + u64::from(cfg.fpu_lat_divsqrt);
                 cfg.fpu_lat_divsqrt
             }
             InstClass::FpLoad => {
-                stats.fp_mem_ops += 1;
+                obs.stats.fp_mem_ops += 1;
                 let addr = entry.int_val.expect("checked above");
                 let mut l = cfg.fp_load_latency;
                 if layout::is_main(addr) {
@@ -664,7 +586,7 @@ impl Fpss {
                 l
             }
             InstClass::FpStore => {
-                stats.fp_mem_ops += 1;
+                obs.stats.fp_mem_ops += 1;
                 debug_assert!(self.pending_stores > 0);
                 self.pending_stores -= 1;
                 1
@@ -689,7 +611,7 @@ impl Fpss {
         let outcome = exec_fp(&inst, bits, entry.int_val, mem)?;
         let done_at = now + u64::from(latency);
         self.busy_until = self.busy_until.max(done_at);
-        trace_event!(tracer, done_at, hart, EventKind::Retire { lane, inst });
+        trace_event!(obs.tracer, done_at, hart, EventKind::Retire { lane, inst });
         match outcome {
             Outcome::Fp(value) => {
                 debug_assert_ne!(meta.dst, NO_REG, "fp-result instruction has an fp destination");
@@ -1033,6 +955,7 @@ fn cmp_bits(op: FpCmpOp, fmt: FpFmt, bits: [u64; 3]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Stats;
     use snitch_riscv::ops::FmaOp;
 
     fn harness() -> (ClusterConfig, Memory, TcdmArbiter, [Ssr; 3], Stats) {
@@ -1063,8 +986,16 @@ mod tests {
             rs2: FpReg::FA2,
         }));
         arb.begin_cycle();
-        fpss.step(0, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None)
-            .unwrap();
+        fpss.step(
+            0,
+            0,
+            &cfg,
+            &mut mem,
+            &mut arb,
+            &mut ssrs,
+            &mut Observer { stats: &mut stats, tracer: &mut None, profiler: &mut None },
+        )
+        .unwrap();
         assert_eq!(f64::from_bits(fpss.reg(FpReg::FA0)), 5.0);
         assert!(!fpss.drained(0), "latency still in flight");
         assert!(fpss.drained(u64::from(cfg.fpu_lat_muladd)));
@@ -1094,7 +1025,13 @@ mod tests {
             arb.begin_cycle();
             let before = stats.fpu_busy_cycles;
             fpss.step(
-                now, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None,
+                now,
+                0,
+                &cfg,
+                &mut mem,
+                &mut arb,
+                &mut ssrs,
+                &mut Observer { stats: &mut stats, tracer: &mut None, profiler: &mut None },
             )
             .unwrap();
             if stats.fpu_busy_cycles > before {
@@ -1127,7 +1064,13 @@ mod tests {
         while !fpss.drained(now) {
             arb.begin_cycle();
             fpss.step(
-                now, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None,
+                now,
+                0,
+                &cfg,
+                &mut mem,
+                &mut arb,
+                &mut ssrs,
+                &mut Observer { stats: &mut stats, tracer: &mut None, profiler: &mut None },
             )
             .unwrap();
             now += 1;
@@ -1149,7 +1092,15 @@ mod tests {
         ));
         arb.begin_cycle();
         let err = fpss
-            .step(0, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None)
+            .step(
+                0,
+                0,
+                &cfg,
+                &mut mem,
+                &mut arb,
+                &mut ssrs,
+                &mut Observer { stats: &mut stats, tracer: &mut None, profiler: &mut None },
+            )
             .unwrap_err();
         assert!(err.to_string().contains("sequencer depth"));
     }
@@ -1168,8 +1119,16 @@ mod tests {
             rs2: FpReg::FA1,
         }));
         arb.begin_cycle();
-        fpss.step(0, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None)
-            .unwrap();
+        fpss.step(
+            0,
+            0,
+            &cfg,
+            &mut mem,
+            &mut arb,
+            &mut ssrs,
+            &mut Observer { stats: &mut stats, tracer: &mut None, profiler: &mut None },
+        )
+        .unwrap();
         assert!(fpss.take_int_writebacks(0).is_empty());
         let wbs = fpss.take_int_writebacks(u64::from(cfg.fpu_lat_short));
         assert_eq!(wbs, vec![IntWriteback { rd: IntReg::A0, value: 1 }]);
@@ -1192,7 +1151,13 @@ mod tests {
         while !fpss.drained(now) {
             arb.begin_cycle();
             fpss.step(
-                now, 0, &cfg, &mut mem, &mut arb, &mut ssrs, &mut stats, &mut None, &mut None,
+                now,
+                0,
+                &cfg,
+                &mut mem,
+                &mut arb,
+                &mut ssrs,
+                &mut Observer { stats: &mut stats, tracer: &mut None, profiler: &mut None },
             )
             .unwrap();
             now += 1;

@@ -32,6 +32,7 @@ pub mod error;
 pub mod fpss;
 pub mod icache;
 pub mod mem;
+mod observe;
 pub mod ssr;
 pub mod stats;
 pub mod system;

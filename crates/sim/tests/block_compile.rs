@@ -11,8 +11,9 @@
 //! quiescent-skip path has its own suite in `quiescent_skip.rs`.
 
 use snitch_asm::builder::ProgramBuilder;
-use snitch_asm::layout::TCDM_BASE;
+use snitch_asm::layout::{TCDM_BASE, TEXT_BASE};
 use snitch_riscv::csr::SsrCfgWord;
+use snitch_riscv::inst::Inst;
 use snitch_riscv::reg::IntReg;
 use snitch_sim::cluster::Cluster;
 use snitch_sim::config::ClusterConfig;
@@ -181,4 +182,40 @@ fn timeout_reported_at_identical_cycles_block_on_vs_off() {
             other => panic!("expected two timeouts at limit {max_cycles}, got {other:?}"),
         }
     }
+}
+
+/// A jump to a pc that is not 4-byte aligned is a fault naming the pc, at
+/// the same cycle with the burst on and off — never a silent issue of the
+/// instruction at the truncated index (here `text[4]`, which would leave
+/// `a0 = 110` and halt cleanly).
+#[test]
+fn misaligned_jump_target_faults_identically_block_on_vs_off() {
+    let mut b = ProgramBuilder::new();
+    b.li_u(IntReg::T0, TEXT_BASE + 18); // lui + addi: text[0..2]
+    b.inst(Inst::Jalr { rd: IntReg::ZERO, rs1: IntReg::T0, offset: 0 }); // text[2]
+    b.ecall(); // text[3]
+    b.li(IntReg::A0, 110); // text[4]
+    b.ecall(); // text[5]
+    let p = b.build().unwrap();
+    assert_eq!(p.text().len(), 6, "layout the test relies on");
+
+    let run = |block: bool| {
+        let mut c = Cluster::new(ClusterConfig::default());
+        c.set_block_compile(block);
+        c.set_quiescent_skip(block);
+        c.load_program(&p);
+        let result = c.run();
+        (result, c.stats().cycles, c.int_reg(IntReg::A0))
+    };
+    let (on, on_cycles, on_a0) = run(true);
+    let (off, off_cycles, off_a0) = run(false);
+    match &on {
+        Err(RunError::Fault(e)) => {
+            assert!(e.to_string().contains("0x80000012"), "fault names the pc: {e}");
+        }
+        other => panic!("expected a misaligned-pc fault, got {other:?}"),
+    }
+    assert_eq!(on, off, "fault must be identical with the burst on and off");
+    assert_eq!(on_cycles, off_cycles, "fault must be raised at the same cycle");
+    assert_eq!((on_a0, off_a0), (0, 0), "the truncated-index instruction must not run");
 }

@@ -1,8 +1,9 @@
-//! Shared measurement code for the experiment drivers that regenerate the
-//! COPIFT paper's Table I and Figures 2–3.
+//! Measurement code behind the `experiments` binary, which regenerates the
+//! COPIFT paper's Table I and Figures 2–3 (and the sections beyond them)
+//! in EXPERIMENTS.md.
 //!
-//! All batched measurements run through [`snitch_engine`]: the drivers
-//! expand their experiment matrix into a job batch, the engine fans the
+//! All batched measurements run through [`snitch_engine`]: each section
+//! expands its experiment matrix into a job batch, the engine fans the
 //! batch across worker threads (caching compiled programs), and the
 //! steady-state derivations here consume the ordered records. This module
 //! is the **only** place steady-state measure logic lives.
@@ -30,7 +31,12 @@ pub fn measure_steady(kernel: Kernel, variant: Variant) -> SteadyState {
 }
 
 /// The stats of a record, panicking loudly on a failed job.
-fn stats_of(record: &RunRecord) -> &Stats {
+///
+/// # Panics
+///
+/// Panics if the job failed.
+#[must_use]
+pub fn stats_of(record: &RunRecord) -> &Stats {
     assert!(
         record.ok,
         "{} failed: {}",
@@ -79,7 +85,7 @@ impl Fig2Row {
     /// extended suite, or the whole catalog) as one engine batch of
     /// steady-state pairs, four simulations per kernel. Kernels that don't
     /// support the `(n, 2n)` methodology ([`Kernel::steady_measurable`])
-    /// are skipped — the scaling-grid driver measures those.
+    /// are skipped — the scaling sections measure those.
     ///
     /// # Panics
     ///
@@ -144,8 +150,7 @@ impl Fig2Row {
 }
 
 /// Renders extended-suite measurement rows as the EXPERIMENTS.md markdown
-/// table (shared by the `extended` driver and the `experiments` generator so
-/// the committed file and the ad-hoc driver can never drift apart).
+/// table.
 #[must_use]
 pub fn extended_tables(rows: &[Fig2Row]) -> String {
     use std::fmt::Write as _;
@@ -173,9 +178,9 @@ pub fn extended_tables(rows: &[Fig2Row]) -> String {
     out
 }
 
-/// The core counts swept by the cluster-scaling driver (re-exported from
+/// The core counts swept by the cluster-scaling table (re-exported from
 /// the engine's canonical batch definition, so the sweep CLI's `scaling`
-/// preset and this driver can never drift apart).
+/// preset and the table can never drift apart).
 pub use snitch_engine::job::SCALING_CORES;
 
 /// One row of the cluster-scaling table: full-run cycles of one
@@ -231,8 +236,7 @@ pub fn scaling_rows(engine: &Engine) -> Vec<ScalingRow> {
     rows
 }
 
-/// Renders cluster-scaling rows as the EXPERIMENTS.md markdown table
-/// (shared by the `scaling` driver and the `experiments` generator).
+/// Renders cluster-scaling rows as the EXPERIMENTS.md markdown table.
 #[must_use]
 pub fn scaling_tables(rows: &[ScalingRow]) -> String {
     use std::fmt::Write as _;
@@ -257,7 +261,7 @@ pub fn scaling_tables(rows: &[ScalingRow]) -> String {
 
 /// The cluster counts swept by the 2-D scaling grid (re-exported from the
 /// engine's canonical batch definition, so the sweep CLI's `scaling-grid`
-/// preset and the drivers can never drift apart).
+/// preset and the table can never drift apart).
 pub use snitch_engine::job::SCALING_CLUSTERS;
 
 /// One row of the cores × clusters scaling table: full-run cycles of one
@@ -320,7 +324,7 @@ pub fn scaling_grid_rows(engine: &Engine) -> Vec<ScalingGridRow> {
 }
 
 /// Renders cores × clusters scaling rows as the EXPERIMENTS.md markdown
-/// table (shared by the `scaling` driver and the `experiments` generator).
+/// table.
 #[must_use]
 pub fn scaling_grid_tables(rows: &[ScalingGridRow]) -> String {
     use std::fmt::Write as _;
@@ -461,9 +465,7 @@ pub fn overlap_rows(engine: &Engine) -> Vec<OverlapRow> {
         .collect()
 }
 
-/// Renders overlap rows as the EXPERIMENTS.md markdown table (shared by
-/// the `overlap` driver and the `experiments` generator so the committed
-/// file and the ad-hoc driver can never drift apart).
+/// Renders overlap rows as the EXPERIMENTS.md markdown table.
 #[must_use]
 pub fn overlap_tables(rows: &[OverlapRow]) -> String {
     use std::fmt::Write as _;

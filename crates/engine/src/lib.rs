@@ -1,7 +1,7 @@
 //! # snitch-engine — parallel, batched experiment execution
 //!
-//! The COPIFT experiment drivers (`fig2`, `fig3`, `table1`, `experiments`,
-//! `ablations`) all reduce to the same shape of work: expand a matrix of
+//! Every COPIFT experiment (each section of the `experiments` binary, each
+//! `sweep` batch) reduces to the same shape of work: expand a matrix of
 //! `Kernel × Variant × problem size × ClusterConfig` into jobs, simulate
 //! every job, and aggregate structured results. This crate is that execution
 //! layer, factored out once:
@@ -21,8 +21,8 @@
 //!   as JSON-lines and CSV, byte-identical for any worker count;
 //! * tracing — [`JobSpec::traced`] opts a job into a cycle-accurate
 //!   `snitch-trace` event trace carried on [`RunRecord::trace`] (same
-//!   compiled program, bit-identical simulation, identical sink rows); the
-//!   `trace` binary is the CLI entry point.
+//!   compiled program, bit-identical simulation, identical sink rows);
+//!   `sweep trace` is the CLI entry point.
 //!
 //! [`Program`]: snitch_asm::program::Program
 //!

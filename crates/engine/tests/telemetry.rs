@@ -87,7 +87,7 @@ fn spans_cover_the_expected_phases() {
         "collection happens on the calling thread"
     );
     // Serial coverage: on one worker the span totals must account for the
-    // measured wall time within 5% (the perf-report acceptance bar), minus
+    // measured wall time within 5% (the `sweep perf` acceptance bar), minus
     // scheduler noise. Allow a generous floor here — CI machines stutter —
     // but the structure (spans covering most of the wall) must hold.
     let report = Report::new(&spans, wall_ns);

@@ -260,6 +260,37 @@ impl SystemConfig {
     pub fn fingerprint(&self) -> u64 {
         fnv1a(&self.canonical())
     }
+
+    /// Checks the parameters a frontend takes from its user against the
+    /// ranges the model supports, naming the first one out of range. The
+    /// constructors assert the same bounds; this lets a caller reject the
+    /// value before a worker builds (and panics on) the configuration.
+    pub fn check(&self) -> Result<(), String> {
+        let c = &self.cluster;
+        let max_clusters = snitch_asm::layout::MAX_CLUSTERS;
+        if !(1..=32).contains(&c.cores) {
+            return Err(format!("cores {} outside the supported 1..=32", c.cores));
+        }
+        if !(1..=max_clusters).contains(&self.clusters) {
+            return Err(format!(
+                "clusters {} outside the supported 1..={max_clusters}",
+                self.clusters
+            ));
+        }
+        if !c.tcdm_banks.is_power_of_two() {
+            return Err(format!("TCDM bank count {} is not a power of two", c.tcdm_banks));
+        }
+        if c.l0_capacity == 0 {
+            return Err("L0 capacity must be at least 1 instruction".to_string());
+        }
+        if c.int_wb_ports == 0 {
+            return Err("the integer register file needs at least 1 write-back port".to_string());
+        }
+        if c.offload_fifo_depth == 0 {
+            return Err("the offload FIFO needs at least 1 entry".to_string());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -343,5 +374,27 @@ mod tests {
         assert_ne!(prints[1], prints[2]);
         assert!(SystemConfig::with_clusters(2).canonical().ends_with(";x2"));
         assert_eq!(SystemConfig::with_clusters(4).cores(), 1);
+    }
+
+    #[test]
+    fn check_accepts_the_supported_ranges_only() {
+        assert_eq!(SystemConfig::default().check(), Ok(()));
+        let edge = SystemConfig {
+            cluster: ClusterConfig { cores: 32, tcdm_banks: 1, ..ClusterConfig::default() },
+            clusters: 32,
+        };
+        assert_eq!(edge.check(), Ok(()));
+        let bad = |f: fn(&mut SystemConfig)| {
+            let mut c = SystemConfig::default();
+            f(&mut c);
+            c.check().unwrap_err()
+        };
+        assert!(bad(|c| c.cluster.cores = 0).contains("cores 0"));
+        assert!(bad(|c| c.cluster.cores = 33).contains("cores 33"));
+        assert!(bad(|c| c.clusters = 0).contains("clusters 0"));
+        assert!(bad(|c| c.cluster.tcdm_banks = 3).contains("bank count 3"));
+        assert!(bad(|c| c.cluster.l0_capacity = 0).contains("L0"));
+        assert!(bad(|c| c.cluster.int_wb_ports = 0).contains("write-back port"));
+        assert!(bad(|c| c.cluster.offload_fifo_depth = 0).contains("offload FIFO"));
     }
 }

@@ -490,7 +490,13 @@ impl IntCore {
                     DmaOp::Str => dma.set_strides(a, b),
                     DmaOp::Rep => dma.set_reps(a),
                     DmaOp::CpyI => {
-                        return Ok(self.issue_alu(now, cfg, l0, d, dma.start(a), 1, obs))
+                        // Claim the port before queueing: a stalled attempt
+                        // must not start the transfer its retry starts again.
+                        if d.dst != 0 && !self.can_claim_wb(now + 1, cfg.int_wb_ports) {
+                            self.stall(now, StallCause::WbPort, obs);
+                            return Ok(false);
+                        }
+                        return Ok(self.issue_alu(now, cfg, l0, d, dma.start(a), 1, obs));
                     }
                     DmaOp::StatI => {}
                 }

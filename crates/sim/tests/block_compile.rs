@@ -219,3 +219,36 @@ fn misaligned_jump_target_faults_identically_block_on_vs_off() {
     assert_eq!(on_cycles, off_cycles, "fault must be raised at the same cycle");
     assert_eq!((on_a0, off_a0), (0, 0), "the truncated-index instruction must not run");
 }
+
+/// `dmcpyi` whose write-back collides with a `mul` retiring the same cycle
+/// stalls on the single write port; the stalled attempt must not queue
+/// the transfer, so the retry moves the 8 bytes exactly once.
+#[test]
+fn dmcpyi_stalled_on_the_write_back_port_queues_its_transfer_once() {
+    let mut b = ProgramBuilder::new();
+    let dst = b.tcdm_reserve("dst", 8, 8);
+    b.li_u(IntReg::A3, TCDM_BASE);
+    b.dmsrc(IntReg::A3);
+    b.li_u(IntReg::A4, dst);
+    b.dmdst(IntReg::A4);
+    b.li(IntReg::A5, 8);
+    b.li(IntReg::A0, 3);
+    b.li(IntReg::A1, 5);
+    b.mul(IntReg::A2, IntReg::A0, IntReg::A1); // writes back two cycles later...
+    b.dmcpyi(IntReg::A6, IntReg::A5); // ...the cycle this one would
+    b.label("wait");
+    b.dmstati(IntReg::A7);
+    b.bnez(IntReg::A7, "wait");
+    b.ecall();
+    let p = b.build().unwrap();
+    for block in [true, false] {
+        let mut c = Cluster::new(ClusterConfig::default());
+        c.set_block_compile(block);
+        c.set_quiescent_skip(block);
+        c.load_program(&p);
+        let stats = c.run().expect("copy completes");
+        assert_eq!(stats.stall_wb_port, 1, "the dmcpyi stalls once (block {block})");
+        assert_eq!(stats.dma_beats, 1, "one 8-byte beat, queued once (block {block})");
+        assert_eq!(c.int_reg(IntReg::A2), 15);
+    }
+}

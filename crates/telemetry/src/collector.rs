@@ -48,8 +48,8 @@ impl Telemetry {
     }
 
     /// A disabled collector: every operation is a no-op behind a single
-    /// branch. This is what `Engine::run` uses, and what the perf-report
-    /// overhead guard measures against the enabled path.
+    /// branch. This is what `Engine::run` uses, and what the telemetry
+    /// overhead guard of `sweep perf` measures against the enabled path.
     #[must_use]
     pub fn off() -> Self {
         Telemetry { inner: None }

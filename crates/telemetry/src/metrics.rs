@@ -14,7 +14,7 @@
 //! metrics files diff cleanly; wall-clock derived *values* of course vary
 //! run to run. [`validate`] checks syntax and the per-metric required keys
 //! with the same scanner `snitch_trace::chrome::validate` uses for trace
-//! documents — CI runs it on every `perf-report` output.
+//! documents — CI runs it on every `sweep perf` output.
 
 use std::fmt::Write as _;
 
